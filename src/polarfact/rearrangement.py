@@ -295,8 +295,9 @@ def monotone_rearrangement(
     Transports the value law of u onto (Y, nu) at cost |y - v|^2/2.  In
     strict mode every site must be assigned a single value atom by the basic
     optimal plan, otherwise SplitAtomError is raised; in refine mode the
-    offending sites are subdivided proportionally to the plan and the
-    instance is re-solved once.
+    offending sites are subdivided proportionally to the plan, each child
+    takes the atom of its plan cell, and the instance is re-solved once for
+    the certifying potential.
 
     Returns (u_sharp, psi) with u_sharp equimeasurable with u and
     fenchel_gap(psi, u_sharp(y), y) <= 1e-8 at every site.
@@ -318,13 +319,11 @@ def monotone_rearrangement(
                 f"{len(split)} target sites split across several value atoms "
                 f"(first: {target.labels[split[0]]!r}); re-run in refine mode"
             )
-        target = _refine_split_sites(plan, target, split)
-        plan, duals = _solve_law_transport(atom_map, target)
-        best_row, split = _dominant_assignment(plan, target.weights)
-        if split:
-            raise SplitAtomError(
-                f"{len(split)} target sites still split after one refinement"
-            )
+        target, best_row = _refine_split_sites(plan, target, split, best_row)
+        # the refined assignment keeps the first plan's cost, so it is optimal
+        # for the refined target; the re-solve supplies an independent dual
+        # that certifies it through the Fenchel gaps below
+        _, duals = _solve_law_transport(atom_map, target)
 
     values = law.values[best_row]
     psi_vals = 0.5 * np.sum(target.coords * target.coords, axis=1) - duals.phi
@@ -346,22 +345,29 @@ def _solve_law_transport(atom_map: SampledMap, target: DiscreteMeasure):
     return solve_mk(cost, atom_map.domain, target)
 
 
-def _refine_split_sites(plan, target: DiscreteMeasure, split) -> DiscreteMeasure:
-    """Subdivide each split site into one child per incoming plan cell."""
+def _refine_split_sites(plan, target: DiscreteMeasure, split, best_row):
+    """Subdivide each split site into one child per incoming plan cell.
+
+    Returns the refined target and its assignment: each child takes the row
+    of its plan cell, every other site keeps its row in ``best_row``.
+    """
     split_set = set(split)
     incoming = {j: [] for j in split_set}
     for i, j, t in zip(plan.rows, plan.cols, plan.masses):
         if j in split_set:
-            incoming[int(j)].append(float(t))
-    labels, weights, coords = [], [], []
+            incoming[int(j)].append((int(i), float(t)))
+    labels, weights, coords, rows = [], [], [], []
     for j in range(target.size):
         if j in split_set:
-            for t_idx, t in enumerate(incoming[j], start=1):
+            for t_idx, (i, t) in enumerate(incoming[j], start=1):
                 labels.append(f"{target.labels[j]}#{t_idx}")
                 weights.append(t)
                 coords.append(target.coords[j])
+                rows.append(i)
         else:
             labels.append(target.labels[j])
             weights.append(float(target.weights[j]))
             coords.append(target.coords[j])
-    return DiscreteMeasure(tuple(labels), np.asarray(weights), np.asarray(coords))
+            rows.append(int(best_row[j]))
+    refined = DiscreteMeasure(tuple(labels), np.asarray(weights), np.asarray(coords))
+    return refined, np.asarray(rows, dtype=int)

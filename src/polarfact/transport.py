@@ -9,6 +9,16 @@ negative cell in lexicographic order), which cannot cycle.  Every choice is
 a deterministic function of the input, so identical instances produce
 bit-identical plans and duals.
 
+The basis tree is stored as parent, depth and child indices rooted at the
+first target site (Kelly & O'Neill 1991).  A pivot finds its cycle by
+climbing both ends of the entering cell to their lowest common ancestor,
+cuts the subtree under the leaving cell, re-hangs it from the entering
+cell by reversing the parent pointers on the way, and shifts the duals of
+that subtree alone.  Each pivot then costs the length of its cycle plus
+the size of the subtree that moves, not a search of the whole tree.
+Pivot counts, degenerate pivots and switches to Bland's rule are logged
+at DEBUG level on the ``polarfact`` logger.
+
 Duals are rooted at the first target site (phi(y_1) = 0) and recomputed
 exactly from the final tree, so complementary slackness holds to float
 precision on the support and the duality gap of the returned pair is zero
@@ -17,6 +27,7 @@ up to accumulation error.
 
 from __future__ import annotations
 
+import logging
 from collections import deque
 from dataclasses import dataclass
 from itertools import permutations
@@ -31,9 +42,9 @@ from .errors import (
     OracleScopeExceededError,
     UnequalMassError,
 )
-from .measures import DiscreteMeasure, SampledMap
+from .measures import MASS_RTOL, DiscreteMeasure, SampledMap
 
-MASS_RTOL = 1e-9
+_log = logging.getLogger("polarfact")
 
 
 @dataclass(frozen=True)
@@ -293,7 +304,10 @@ def _strictify_duals(C, rows, cols, alpha, beta, zero_tol):
 class _Simplex:
     """Spanning-tree simplex for the balanced transportation problem.
 
-    Tree nodes are rows 0..m-1 and columns m..m+n-1.
+    Tree nodes are rows 0..m-1 and columns m..m+n-1.  The basis tree is
+    rooted at the first column (node m): ``parent[v]`` and ``depth[v]``
+    place node v in it, ``children[v]`` lists the nodes hanging below v,
+    and ``flow[v]`` is the mass on the basic cell joining v to its parent.
     """
 
     def __init__(self, C: np.ndarray, a: np.ndarray, b: np.ndarray):
@@ -301,31 +315,29 @@ class _Simplex:
         self.a = np.asarray(a, dtype=float)
         self.b = np.asarray(b, dtype=float)
         self.m, self.n = C.shape
-        self.X = np.zeros_like(C)
-        self.basis = np.zeros(C.shape, dtype=bool)
-        self.adj = [set() for _ in range(self.m + self.n)]
-        self.alpha = np.zeros(self.m)
-        self.beta = np.zeros(self.n)
+        # alpha and beta are views of one vector, so a pivot shifts the
+        # duals of both sides in one update
+        self.pot = np.zeros(self.m + self.n)
+        self.alpha = self.pot[: self.m]
+        self.beta = self.pot[self.m :]
         self.tol = 1e-11 * max(1.0, float(np.max(np.abs(C)))) if C.size else 1e-11
+        self.degenerate_pivots = 0
+        self.bland_switches = 0
 
-    def _add_edge(self, i: int, j: int, mass: float) -> None:
-        self.basis[i, j] = True
-        self.X[i, j] = mass
-        self.adj[i].add(self.m + j)
-        self.adj[self.m + j].add(i)
-
-    def _drop_edge(self, i: int, j: int) -> None:
-        self.basis[i, j] = False
-        self.adj[i].discard(self.m + j)
-        self.adj[self.m + j].discard(i)
+    def _cell(self, v: int) -> tuple:
+        """The basic cell joining node v to its parent."""
+        p = self.parent[v]
+        return (v, p - self.m) if v < self.m else (p, v - self.m)
 
     # -- initial basis ---------------------------------------------------------
-    def _initial_basis(self) -> None:
+    def _initial_basis(self) -> list:
         """Row-minimum start: each row fills its cheapest active columns.
 
         Every allocation crosses out exactly one line, so the m+n-1 chosen
-        cells are acyclic and span all rows and columns.
+        cells are acyclic and span all rows and columns.  Returns them as
+        (row, column, mass) triplets.
         """
+        edges = []
         ra = self.a.copy()
         rb = self.b.copy()
         col_active = np.ones(self.n, dtype=bool)
@@ -338,17 +350,17 @@ class _Simplex:
                 if last_row:
                     if n_active > 1:
                         t = max(float(rb[j]), 0.0)
-                        self._add_edge(i, j, t)
+                        edges.append((i, j, t))
                         ra[i] -= t
                         rb[j] = 0.0
                         col_active[j] = False
                         n_active -= 1
                         continue
-                    self._add_edge(i, j, max(float(ra[i]), 0.0))
-                    return
+                    edges.append((i, j, max(float(ra[i]), 0.0)))
+                    return edges
                 t = float(min(ra[i], rb[j]))
                 if rb[j] < ra[i] and n_active > 1:
-                    self._add_edge(i, j, t)
+                    edges.append((i, j, t))
                     ra[i] -= t
                     rb[j] = 0.0
                     col_active[j] = False
@@ -356,62 +368,53 @@ class _Simplex:
                 else:
                     # row exhausted (ties also close the row; the column
                     # stays active and receives a zero basic cell later)
-                    self._add_edge(i, j, t)
+                    edges.append((i, j, t))
                     rb[j] -= t
                     ra[i] = 0.0
                     break
+        return edges
+
+    def _build_tree(self, edges) -> None:
+        """Root the basis given as (row, column, mass) triplets at node m."""
+        m, size = self.m, self.m + self.n
+        adj = [[] for _ in range(size)]
+        for i, j, mass in edges:
+            adj[i].append((m + j, mass))
+            adj[m + j].append((i, mass))
+        self.parent = parent = [-1] * size
+        self.depth = depth = [0] * size
+        self.flow = flow = [0.0] * size
+        self.children = children = [[] for _ in range(size)]
+        reached = 1
+        stack = [m]
+        while stack:
+            node = stack.pop()
+            for nxt, mass in adj[node]:
+                if nxt != m and parent[nxt] < 0:
+                    parent[nxt] = node
+                    depth[nxt] = depth[node] + 1
+                    flow[nxt] = mass
+                    children[node].append(nxt)
+                    stack.append(nxt)
+                    reached += 1
+        # m + n - 1 cells that reach every node form a spanning tree
+        if len(edges) != size - 1 or reached != size:
+            raise NumericalFailureError("basis tree does not span the instance")
 
     # -- duals -----------------------------------------------------------------
     def _recompute_duals(self) -> None:
         """Exact duals from the tree, rooted at the first column (beta_0 = 0)."""
-        alpha, beta = self.alpha, self.beta
+        C, alpha, beta, m = self.C, self.alpha, self.beta, self.m
         beta[0] = 0.0
-        seen = np.zeros(self.m + self.n, dtype=bool)
-        root = self.m
-        seen[root] = True
-        queue = deque([root])
-        while queue:
-            node = queue.popleft()
-            for nxt in self.adj[node]:
-                if seen[nxt]:
-                    continue
-                seen[nxt] = True
-                if nxt < self.m:
-                    alpha[nxt] = self.C[nxt, node - self.m] - beta[node - self.m]
+        stack = [m]
+        while stack:
+            node = stack.pop()
+            for nxt in self.children[node]:
+                if nxt < m:
+                    alpha[nxt] = C[nxt, node - m] - beta[node - m]
                 else:
-                    beta[nxt - self.m] = self.C[node, nxt - self.m] - alpha[node]
-                queue.append(nxt)
-        if not bool(seen.all()):
-            raise NumericalFailureError("basis tree does not span the instance")
-
-    def _component_of(self, start: int) -> set:
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            node = queue.popleft()
-            for nxt in self.adj[node]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-        return seen
-
-    def _tree_path(self, src: int, dst: int) -> list:
-        # the tree path is unique, so traversal order cannot affect it
-        parent = {src: None}
-        queue = deque([src])
-        while queue:
-            node = queue.popleft()
-            if node == dst:
-                break
-            for nxt in self.adj[node]:
-                if nxt not in parent:
-                    parent[nxt] = node
-                    queue.append(nxt)
-        path = [dst]
-        while path[-1] != src:
-            path.append(parent[path[-1]])
-        path.reverse()
-        return path
+                    beta[nxt - m] = C[node, nxt - m] - alpha[node]
+                stack.append(nxt)
 
     # -- pivoting ----------------------------------------------------------------
     def _entering(self, bland: bool):
@@ -429,40 +432,59 @@ class _Simplex:
         return divmod(k, self.n)
 
     def _pivot(self, ei: int, ej: int) -> float:
-        path = self._tree_path(ei, self.m + ej)
+        m = self.m
+        parent, depth, children, flow = self.parent, self.depth, self.children, self.flow
+        # the cycle closed by (ei, ej) is the tree path between its ends:
+        # climb both to their lowest common ancestor, listing each node
+        # passed for the cell joining it to its parent
+        u, v = ei, m + ej
         minus, plus = [], []
-        for t in range(len(path) - 1):
-            u, v = path[t], path[t + 1]
-            cell = (u, v - self.m) if u < self.m else (v, u - self.m)
-            (minus if t % 2 == 0 else plus).append(cell)
-        theta = min(self.X[c] for c in minus)
-        leaving = min(c for c in minus if self.X[c] == theta)
-        for c in plus:
-            self.X[c] += theta
-        for c in minus:
-            self.X[c] -= theta
-            if self.X[c] < 0.0:
-                self.X[c] = 0.0
+        while u != v:
+            if depth[u] >= depth[v]:
+                (minus if u < m else plus).append(u)
+                u = parent[u]
+            else:
+                (minus if v >= m else plus).append(v)
+                v = parent[v]
+        theta = min(map(flow.__getitem__, minus))
+        _, q = min((self._cell(w), w) for w in minus if flow[w] == theta)
+        for w in plus:
+            flow[w] += theta
+        for w in minus:
+            f = flow[w] - theta
+            flow[w] = 0.0 if f < 0.0 else f
         delta = float(self.C[ei, ej] - self.alpha[ei] - self.beta[ej])
-        self._drop_edge(*leaving)
-        self.X[leaving] = 0.0
-        # duals shift on the side of the cut that excludes the root column
-        side = self._component_of(ei)
-        self._add_edge(ei, ej, theta)
-        if self.m not in side:
-            rows = [v for v in side if v < self.m]
-            cols = [v - self.m for v in side if v >= self.m]
-            self.alpha[rows] += delta
-            self.beta[cols] -= delta
-        else:
-            mask = np.zeros(self.m + self.n, dtype=bool)
-            mask[list(side)] = True
-            self.alpha[~mask[: self.m]] -= delta
-            self.beta[~mask[self.m :]] += delta
+        # dropping the leaving cell cuts off the subtree under q; it holds
+        # ei when q is a row (rows are cut on the way up), else column ej
+        a, b = (ei, m + ej) if q < m else (m + ej, ei)
+        children[parent[q]].remove(q)
+        # hang it below b by the entering cell, reversing parents from a to q
+        node, new_parent, new_flow = a, b, theta
+        while True:
+            old_parent, old_flow = parent[node], flow[node]
+            parent[node], flow[node] = new_parent, new_flow
+            children[new_parent].append(node)
+            if node == q:
+                break
+            children[old_parent].remove(node)
+            node, new_parent, new_flow = old_parent, node, old_flow
+        # reset depths below a and shift the duals of the side that moved,
+        # the one without the root, so that (ei, ej) prices to zero
+        depth[a] = depth[b] + 1
+        moved = [a]
+        for node in moved:
+            below = children[node]
+            d = depth[node] + 1
+            for nxt in below:
+                depth[nxt] = d
+            moved.extend(below)
+        moved = np.array(moved)
+        shift = delta if a == ei else -delta
+        self.pot[moved] += np.where(moved < m, shift, -shift)
         return float(theta)
 
     def solve(self) -> int:
-        self._initial_basis()
+        self._build_tree(self._initial_basis())
         self._recompute_duals()
         bland = False
         degenerate_run = 0
@@ -477,20 +499,32 @@ class _Simplex:
                 self._recompute_duals()
                 cell = self._entering(bland)
                 if cell is None:
-                    break
+                    return pivots
             theta = self._pivot(*cell)
             pivots += 1
             if theta <= degeneracy_scale:
+                self.degenerate_pivots += 1
                 degenerate_run += 1
-                if degenerate_run > bland_trigger:
+                if degenerate_run > bland_trigger and not bland:
                     bland = True
+                    self.bland_switches += 1
             else:
                 degenerate_run = 0
                 bland = False
             if pivots > hard_cap:
                 raise NumericalFailureError(f"pivot safeguard exceeded after {pivots} pivots")
-        self._recompute_duals()
-        return pivots
+
+    def plan_triplets(self):
+        """Rows, columns and masses of the basic cells with positive mass,
+        in row-major order."""
+        cells = sorted(
+            self._cell(v) + (self.flow[v],)
+            for v in range(self.m + self.n)
+            if v != self.m and self.flow[v] > 0.0
+        )
+        rows = np.array([c[0] for c in cells], dtype=int)
+        cols = np.array([c[1] for c in cells], dtype=int)
+        return rows, cols, np.array([c[2] for c in cells], dtype=float)
 
 
 def solve_mk(cost: CostMatrix, mu: DiscreteMeasure, nu: DiscreteMeasure):
@@ -506,10 +540,13 @@ def solve_mk(cost: CostMatrix, mu: DiscreteMeasure, nu: DiscreteMeasure):
     if abs(total_mu - total_nu) > MASS_RTOL * max(1.0, total_mu, total_nu):
         raise UnequalMassError(f"total masses differ: {total_mu!r} vs {total_nu!r}")
     sx = _Simplex(cost.entries, mu.weights, nu.weights)
-    sx.solve()
-    keep = sx.X > 0.0
-    rows, cols = np.nonzero(keep)
-    plan = TransportPlan(rows, cols, sx.X[keep], mu, nu)
+    pivots = sx.solve()
+    _log.debug(
+        "solve_mk %dx%d: %d pivots, %d degenerate, %d Bland switches",
+        sx.m, sx.n, pivots, sx.degenerate_pivots, sx.bland_switches,
+    )
+    rows, cols, masses = sx.plan_triplets()
+    plan = TransportPlan(rows, cols, masses, mu, nu)
     alpha, beta = _strictify_duals(
         cost.entries, rows, cols, sx.alpha.copy(), sx.beta.copy(), sx.tol
     )

@@ -245,6 +245,28 @@ class TestMonotoneRearrangement:
         ]
         assert max(gaps) <= 1e-8
 
+    def test_refine_mode_on_random_target_weights(self):
+        # sites with random positive weights split most value atoms; the
+        # refined sites must each carry one atom and stay certified
+        n_refined = 0
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            n = 22
+            u = SampledMap(uniform(n), rng.uniform(-1, 1, (n, 1)))
+            weights = rng.uniform(0.5, 1.5, n)
+            Y = line_sites(np.sort(rng.uniform(-1, 1, n)), weights / weights.sum())
+            try:
+                monotone_rearrangement(u, Y)
+            except SplitAtomError:
+                n_refined += 1
+            u_sharp, psi = monotone_rearrangement(u, Y, mode="refine")
+            assert equimeasurable(u_sharp, u)
+            gaps = [fenchel_gap(psi, u_sharp.values[j], j) for j in range(u_sharp.domain.size)]
+            assert max(gaps) <= 1e-8
+            order = np.lexsort((u_sharp.values[:, 0], u_sharp.domain.coords[:, 0]))
+            assert np.all(np.diff(u_sharp.values[order, 0]) >= 0)
+        assert n_refined >= 8
+
     def test_2d_instance_certificates(self):
         rng = np.random.default_rng(31)
         n = 12

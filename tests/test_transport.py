@@ -1,3 +1,6 @@
+import hashlib
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -8,9 +11,11 @@ from polarfact.errors import (
     UnequalMassError,
 )
 from polarfact.measures import DiscreteMeasure, SampledMap
+from polarfact.polar import gallery_instance
 from polarfact.transport import (
     CostMatrix,
     TransportPlan,
+    _Simplex,
     brute_force_mk,
     build_cost,
     duality_certificate,
@@ -235,6 +240,160 @@ class TestSolveMK:
             cost = build_cost(u, Y)
             plan, _ = solve_mk(cost, u.domain, Y)
             assert worst_cycle_violation(plan, cost, 1000, 5, seed=trial) <= 1e-9
+
+
+def one_d_split_instance(rng, n):
+    """1-D map with distinct values onto sites of random positive weights,
+    so the optimal plan splits sites between values."""
+    u = SampledMap(uniform(n), rng.uniform(-1, 1, (n, 1)))
+    w = rng.uniform(0.5, 1.5, n)
+    Y = DiscreteMeasure(
+        tuple(f"y{j}" for j in range(n)), w / w.sum(), np.sort(rng.uniform(-1, 1, n))[:, None]
+    )
+    return u, Y
+
+
+def simplex_instance(name):
+    """Cost matrix and marginals of a named seeded instance."""
+    if name.startswith("gallery-"):
+        u, Y, _ = gallery_instance(name[len("gallery-"):], 8, seed=3)
+    else:
+        kind, seed, m, n = name.split("-")
+        rng = np.random.default_rng(int(seed))
+        if kind == "1d":
+            u, Y = one_d_split_instance(rng, int(m))
+        else:
+            u, Y = random_instance(rng, int(m), int(n), uniform_weights=kind == "uniform")
+    return build_cost(u, Y).entries, u.domain.weights, Y.weights
+
+
+def reference_pivot(basis, m, ei, ej):
+    """Apply one pivot to a {cell: mass} basis the plain way: search the
+    tree path from row ei to column ej, take the alternate cells from ei as
+    the ones losing mass, and let the lexicographically first cell with the
+    least mass leave.  Returns theta."""
+    adj = {}
+    for i, j in basis:
+        adj.setdefault(i, []).append(m + j)
+        adj.setdefault(m + j, []).append(i)
+    prev = {ei: None}
+    queue = deque([ei])
+    while queue:
+        node = queue.popleft()
+        for nxt in adj[node]:
+            if nxt not in prev:
+                prev[nxt] = node
+                queue.append(nxt)
+    path = [m + ej]
+    while path[-1] != ei:
+        path.append(prev[path[-1]])
+    path.reverse()
+    cells = [(p, q - m) if p < m else (q, p - m) for p, q in zip(path, path[1:])]
+    minus, plus = cells[0::2], cells[1::2]
+    theta = min(basis[c] for c in minus)
+    leaving = min(c for c in minus if basis[c] == theta)
+    for c in plus:
+        basis[c] += theta
+    for c in minus:
+        basis[c] = max(basis[c] - theta, 0.0)
+    del basis[leaving]
+    basis[ei, ej] = theta
+    return theta
+
+
+class CheckedSimplex(_Simplex):
+    """Checks the tree after every pivot against a {cell: mass} basis
+    pivoted by reference_pivot."""
+
+    def _build_tree(self, edges):
+        self.basis = {(i, j): t for i, j, t in edges}
+        self.checked = 0
+        super()._build_tree(edges)
+        self.check_tree()
+
+    def _pivot(self, ei, ej):
+        theta = super()._pivot(ei, ej)
+        assert theta == reference_pivot(self.basis, self.m, ei, ej)
+        self.check_tree()
+        self.check_duals()
+        self.checked += 1
+        return theta
+
+    def check_tree(self):
+        m, size = self.m, self.m + self.n
+        assert self.parent[m] == -1 and self.depth[m] == 0
+        for v in range(size):
+            if v != m:
+                # depths fall by one towards the parent, so every chain of
+                # parents ends at the only parentless node, the root
+                assert self.depth[v] == self.depth[self.parent[v]] + 1
+            assert sorted(self.children[v]) == [w for w in range(size) if self.parent[w] == v]
+        edges = {self._cell(v): self.flow[v] for v in range(size) if v != m}
+        assert edges == self.basis
+
+    def check_duals(self):
+        kept = self.pot.copy()
+        self._recompute_duals()
+        scale = float(np.max(np.abs(self.C)))
+        assert np.max(np.abs(self.pot - kept)) <= 1e-9 * scale
+        self.pot[:] = kept  # the solve goes on from the shifted duals
+
+
+class TestSimplexTree:
+    @pytest.mark.parametrize(
+        "name", ["uniform-11-30-30", "weighted-12-20-26", "gallery-flat-segment", "1d-13-22-22"]
+    )
+    def test_tree_invariants_after_every_pivot(self, name):
+        sx = CheckedSimplex(*simplex_instance(name))
+        pivots = sx.solve()
+        assert pivots == sx.checked > 0
+
+    def test_duals_are_exact_tree_duals_at_the_end(self):
+        sx = _Simplex(*simplex_instance("weighted-12-20-26"))
+        sx.solve()
+        final = sx.pot.copy()
+        sx._recompute_duals()
+        assert np.array_equal(sx.pot, final)
+
+    # Pivot counts and plan supports recorded with the breadth-first-search
+    # tree of the original solver; a change of pivot rule or tree update that
+    # alters any pivot shows here.  Each support is pinned by its cell count
+    # and a SHA-256 prefix of its int64 rows followed by its int64 columns.
+    PINNED = {
+        "uniform-101-40-40": (78, 40, '028ac456610269ae'),
+        "uniform-102-25-35": (66, 59, '35923215210a9b14'),
+        "weighted-103-40-40": (89, 79, '9486632cfd433ce2'),
+        "weighted-104-30-20": (40, 49, 'cce902df5f421ae6'),
+        "gallery-m-to-1-flat": (89, 64, 'b13befc618156f21'),
+        "1d-105-44-44": (134, 87, '22b5f78ea026d584'),
+    }
+
+    @staticmethod
+    def pivots_and_support(name):
+        C, a, b = simplex_instance(name)
+        pivots = _Simplex(C, a, b).solve()
+        mu = DiscreteMeasure(tuple(f"x{i}" for i in range(a.size)), a)
+        nu = DiscreteMeasure(tuple(f"y{j}" for j in range(b.size)), b)
+        plan, _ = solve_mk(CostMatrix(C, mu, nu), mu, nu)
+        cells = np.concatenate([plan.rows, plan.cols]).astype("<i8")
+        return pivots, plan.n_triplets, hashlib.sha256(cells.tobytes()).hexdigest()[:16]
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_pinned_pivot_sequence(self, name):
+        assert self.pivots_and_support(name) == self.PINNED[name]
+
+    def test_solve_statistics_logged(self, caplog):
+        rng = np.random.default_rng(5)
+        u, Y = random_instance(rng, 8, 8)
+        cost = build_cost(u, Y)
+        pivots = _Simplex(cost.entries, u.domain.weights, Y.weights).solve()
+        with caplog.at_level("DEBUG", logger="polarfact"):
+            result = solve_mk(cost, u.domain, Y)
+        assert len(result) == 2
+        (record,) = [r for r in caplog.records if r.name == "polarfact"]
+        assert record.levelname == "DEBUG"
+        assert f"{pivots} pivots" in record.getMessage()
+        assert "degenerate" in record.getMessage() and "Bland switches" in record.getMessage()
 
 
 class TestShiftedObjective:
