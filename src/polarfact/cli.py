@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import io
-from .errors import NumericalFailureError, PolarfactError
+from .errors import NumericalFailureError, PolarfactError, SplitAtomError
 from .measures import equimeasurable, validate
 from .polar import (
     FACTORISATION,
@@ -375,11 +375,10 @@ def main(argv=None) -> int:
     except NumericalFailureError as exc:
         print(f"certification failure: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATE
+    except SplitAtomError as exc:
+        print(f"negative result: {exc}", file=sys.stderr)
+        return EXIT_NEGATIVE
     except PolarfactError as exc:
-        kind = type(exc).__name__
-        if kind in ("SplitAtomError",):
-            print(f"negative result: {exc}", file=sys.stderr)
-            return EXIT_NEGATIVE
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (OSError, ValueError, KeyError, TypeError) as exc:

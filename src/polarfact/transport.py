@@ -16,8 +16,16 @@ cuts the subtree under the leaving cell, re-hangs it from the entering
 cell by reversing the parent pointers on the way, and shifts the duals of
 that subtree alone.  Each pivot then costs the length of its cycle plus
 the size of the subtree that moves, not a search of the whole tree.
-Pivot counts, degenerate pivots and switches to Bland's rule are logged
-at DEBUG level on the ``polarfact`` logger.
+
+In one dimension sorting is the solver.  ``build_cost`` records the stable
+sort orders of the values and of the sites, and the simplex then starts
+from the north-west corner basis of the sorted supports: quadratic cost on
+sorted points is a Monge array, so that staircase is an optimal basis
+(Hoffman 1963) and its duals price every cell non-negative.  Pricing still
+certifies it, and a reduced cost that rounding leaves below the tolerance
+is pivoted away as usual.  Other instances start from the row-minimum
+basis.  Pivot counts, degenerate pivots, switches to Bland's rule and the
+start used are logged at DEBUG level on the ``polarfact`` logger.
 
 Duals are rooted at the first target site (phi(y_1) = 0) and recomputed
 exactly from the final tree, so complementary slackness holds to float
@@ -29,7 +37,7 @@ from __future__ import annotations
 
 import logging
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import permutations
 
 import numpy as np
@@ -49,11 +57,16 @@ _log = logging.getLogger("polarfact")
 
 @dataclass(frozen=True)
 class CostMatrix:
-    """Dense |X| x |Y| matrix of costs |u(x_i) - y_j|^2 / 2."""
+    """Dense |X| x |Y| matrix of costs |u(x_i) - y_j|^2 / 2.
+
+    ``order`` holds the stable sort orders of the values and of the sites
+    when both lie on a line (set by ``build_cost``), else None.
+    """
 
     entries: np.ndarray
     mu: DiscreteMeasure
     nu: DiscreteMeasure
+    order: tuple | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         e = np.asarray(self.entries, dtype=float)
@@ -143,7 +156,13 @@ def build_cost(u: SampledMap, Y: DiscreteMeasure) -> CostMatrix:
     if abs(mu_total - nu_total) > MASS_RTOL * max(1.0, mu_total, nu_total):
         raise UnequalMassError(f"total masses differ: {mu_total!r} vs {nu_total!r}")
     entries = _pairwise_cost_blocked(u.values, Y.coords)
-    return CostMatrix(entries, u.domain, Y)
+    order = None
+    if Y.coords.shape[1] == 1:
+        order = (
+            np.argsort(u.values[:, 0], kind="stable"),
+            np.argsort(Y.coords[:, 0], kind="stable"),
+        )
+    return CostMatrix(entries, u.domain, Y, order)
 
 
 def objective(plan: TransportPlan, cost: CostMatrix) -> float:
@@ -323,6 +342,7 @@ class _Simplex:
         self.tol = 1e-11 * max(1.0, float(np.max(np.abs(C)))) if C.size else 1e-11
         self.degenerate_pivots = 0
         self.bland_switches = 0
+        self._reduced = np.empty(C.shape)
 
     def _cell(self, v: int) -> tuple:
         """The basic cell joining node v to its parent."""
@@ -418,7 +438,9 @@ class _Simplex:
 
     # -- pivoting ----------------------------------------------------------------
     def _entering(self, bland: bool):
-        reduced = self.C - self.alpha[:, None] - self.beta[None, :]
+        reduced = self._reduced
+        np.subtract(self.C, self.alpha[:, None], out=reduced)
+        np.subtract(reduced, self.beta[None, :], out=reduced)
         flat = reduced.ravel()
         if bland:
             hit = np.flatnonzero(flat < -self.tol)
@@ -483,9 +505,22 @@ class _Simplex:
         self.pot[moved] += np.where(moved < m, shift, -shift)
         return float(theta)
 
-    def solve(self) -> int:
-        self._build_tree(self._initial_basis())
+    def solve(self, order=None) -> int:
+        """Pivot to optimality from the north-west corner basis of the
+        supports permuted by ``order`` (row and column permutations), or
+        from the row-minimum basis without one; returns the pivot count.
+        Either start is accepted only once pricing finds no negative
+        reduced cost."""
+        if order is None:
+            start = self._initial_basis()
+        else:
+            # the m+n-1 staircase cells, zero cells kept, span all nodes
+            rows, cols = order
+            cells = _northwest_cells(self.a[rows], self.b[cols])
+            start = [(int(rows[i]), int(cols[j]), t) for i, j, t in cells]
+        self._build_tree(start)
         self._recompute_duals()
+        fresh = True  # the duals are a recompute from the current tree
         bland = False
         degenerate_run = 0
         bland_trigger = 3 * (self.m + self.n) + 50
@@ -495,12 +530,14 @@ class _Simplex:
         while True:
             cell = self._entering(bland)
             if cell is None:
+                if fresh:
+                    return pivots
                 # re-price against freshly recomputed duals before accepting
                 self._recompute_duals()
-                cell = self._entering(bland)
-                if cell is None:
-                    return pivots
+                fresh = True
+                continue
             theta = self._pivot(*cell)
+            fresh = False
             pivots += 1
             if theta <= degeneracy_scale:
                 self.degenerate_pivots += 1
@@ -540,10 +577,11 @@ def solve_mk(cost: CostMatrix, mu: DiscreteMeasure, nu: DiscreteMeasure):
     if abs(total_mu - total_nu) > MASS_RTOL * max(1.0, total_mu, total_nu):
         raise UnequalMassError(f"total masses differ: {total_mu!r} vs {total_nu!r}")
     sx = _Simplex(cost.entries, mu.weights, nu.weights)
-    pivots = sx.solve()
+    pivots = sx.solve(cost.order)
     _log.debug(
-        "solve_mk %dx%d: %d pivots, %d degenerate, %d Bland switches",
+        "solve_mk %dx%d: %d pivots, %d degenerate, %d Bland switches from the %s start",
         sx.m, sx.n, pivots, sx.degenerate_pivots, sx.bland_switches,
+        "row-minimum" if cost.order is None else "north-west corner on sorted supports",
     )
     rows, cols, masses = sx.plan_triplets()
     plan = TransportPlan(rows, cols, masses, mu, nu)

@@ -4,8 +4,9 @@ import os
 import numpy as np
 import pytest
 
-from polarfact import io
+from polarfact import cli, io
 from polarfact.cli import main
+from polarfact.errors import SplitAtomError
 from polarfact.measures import DiscreteMeasure, SampledMap
 
 
@@ -235,6 +236,21 @@ class TestMonotone:
         out = tmp_path / "m.json"
         assert main(["monotone", "--u", str(u_path), "--Y", str(y_path),
                      "--refine-split", "--out", str(out)]) == 0
+
+    def test_split_atom_subclass_exits_10(self, tmp_path, monkeypatch):
+        class CustomSplit(SplitAtomError):
+            pass
+
+        def raise_split(*args, **kwargs):
+            raise CustomSplit("site y0 takes two values")
+
+        monkeypatch.setattr(cli, "monotone_rearrangement", raise_split)
+        u_doc = {"measure": measure_doc([0.5, 0.5], prefix="x"), "values": [[0.0], [1.0]]}
+        y_doc = measure_doc([0.5, 0.5], [[0.0], [1.0]])
+        u_path, y_path = tmp_path / "u.json", tmp_path / "Y.json"
+        write(u_path, json.dumps(u_doc))
+        write(y_path, json.dumps(y_doc))
+        assert main(["monotone", "--u", str(u_path), "--Y", str(y_path)]) == 10
 
 
 class TestGallery:

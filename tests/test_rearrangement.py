@@ -276,3 +276,33 @@ class TestMonotoneRearrangement:
         assert equimeasurable(u_sharp, u)
         gaps = [fenchel_gap(psi, u_sharp.values[j], j) for j in range(n)]
         assert max(gaps) <= 1e-8
+
+    @pytest.mark.parametrize(
+        "values, sites, expected",
+        [
+            ([2.0, 0.0, 1.0], [2.0, 0.5, 0.5], [2.0, 0.0, 1.0]),
+            ([1.0, 0.0, 1.0, 3.0], [0.5, 3.0, 0.5, 0.5], [0.0, 3.0, 1.0, 1.0]),
+        ],
+    )
+    def test_strict_mode_tied_sites_take_values_in_stable_order(self, values, sites, expected):
+        # sites at one coordinate are filled in label order, lowest value first
+        u = SampledMap(uniform(len(values)), np.reshape(values, (-1, 1)))
+        Y = line_sites(sites)
+        u_sharp, psi = monotone_rearrangement(u, Y)
+        np.testing.assert_array_equal(u_sharp.values.ravel(), expected)
+        gaps = [fenchel_gap(psi, u_sharp.values[j], j) for j in range(Y.size)]
+        assert max(gaps) <= 1e-8
+
+    def test_one_dimensional_solve_makes_no_pivots_at_n_2000(self, caplog):
+        rng = np.random.default_rng(41)
+        n = 2000
+        u = SampledMap(uniform(n), rng.uniform(-1, 1, (n, 1)))
+        Y = line_sites(rng.uniform(-1, 1, n))
+        with caplog.at_level("DEBUG", logger="polarfact"):
+            u_sharp, _ = monotone_rearrangement(u, Y)
+        (record,) = [r for r in caplog.records if r.name == "polarfact"]
+        assert ": 0 pivots" in record.getMessage()
+        assert "north-west corner on sorted supports" in record.getMessage()
+        np.testing.assert_array_equal(
+            u_sharp.values[np.argsort(Y.coords[:, 0]), 0], np.sort(u.values[:, 0])
+        )

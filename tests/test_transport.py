@@ -396,6 +396,86 @@ class TestSimplexTree:
         assert "degenerate" in record.getMessage() and "Bland switches" in record.getMessage()
 
 
+def one_d_instance(rng, k):
+    """Seeded 1-D instance of sizes 1..120; odd k gives integer values and
+    sites with many ties, even k distinct ones.  Each side has uniform or
+    random positive weights, independently."""
+    m, n = (int(s) for s in rng.integers(1, 121, 2))
+    if k % 2:
+        values, sites = rng.integers(-5, 6, m), rng.integers(-5, 6, n)
+    else:
+        values, sites = rng.uniform(-1, 1, m), rng.uniform(-1, 1, n)
+    wa = rng.uniform(0.5, 1.5, m) if rng.random() < 0.5 else np.ones(m)
+    wb = rng.uniform(0.5, 1.5, n) if rng.random() < 0.5 else np.ones(n)
+    X = DiscreteMeasure(tuple(f"x{i}" for i in range(m)), wa / wa.sum())
+    Y = DiscreteMeasure(tuple(f"y{j}" for j in range(n)), wb / wb.sum(), sites[:, None])
+    return SampledMap(X, values[:, None]), Y
+
+
+def dense_plan(plan):
+    P = np.zeros((plan.mu.size, plan.nu.size))
+    P[plan.rows, plan.cols] = plan.masses
+    return P
+
+
+class TestNorthWestStart:
+    def test_cost_records_sort_orders_in_one_dimension_only(self):
+        u = SampledMap(uniform(3), np.array([[2.0], [0.0], [2.0]]))
+        Y = line_sites([1.0, -1.0, 1.0])
+        rows, cols = build_cost(u, Y).order
+        assert rows.tolist() == [1, 0, 2] and cols.tolist() == [1, 0, 2]
+        u2, Y2 = random_instance(np.random.default_rng(0), 4, 4)
+        assert build_cost(u2, Y2).order is None
+
+    def test_matches_row_minimum_start_on_seeded_sweep(self):
+        rng = np.random.default_rng(2024)
+        checked_plans = 0
+        for k in range(200):
+            u, Y = one_d_instance(rng, k)
+            cost = build_cost(u, Y)
+            assert _Simplex(cost.entries, u.domain.weights, Y.weights).solve(cost.order) == 0
+            plan, duals = solve_mk(cost, u.domain, Y)
+            plain = CostMatrix(cost.entries, cost.mu, cost.nu)
+            ref_plan, _ = solve_mk(plain, u.domain, Y)
+            I, ref_I = objective(plan, cost), objective(ref_plan, plain)
+            assert abs(I - ref_I) <= 1e-12 * max(abs(ref_I), 1e-300)
+            assert duals.max_feasibility_violation() <= 1e-12
+            if k % 2 == 0:
+                # distinct values and sites: the optimal plan is unique
+                diff = np.abs(dense_plan(plan) - dense_plan(ref_plan))
+                assert np.max(diff) <= 1e-12
+                checked_plans += 1
+        assert checked_plans == 100
+
+    def test_reversed_order_is_only_a_start(self):
+        rng = np.random.default_rng(9)
+        u = SampledMap(uniform(30), rng.uniform(-1, 1, (30, 1)))
+        Y = line_sites(rng.uniform(-1, 1, 30))
+        cost = build_cost(u, Y)
+        rows, cols = cost.order
+        reversed_order = (rows[::-1], cols)
+        sx = _Simplex(cost.entries, u.domain.weights, Y.weights)
+        assert sx.solve(reversed_order) > 0
+        reduced = cost.entries - sx.alpha[:, None] - sx.beta[None, :]
+        assert reduced.min() >= -sx.tol
+        plan, duals = solve_mk(CostMatrix(cost.entries, cost.mu, cost.nu, reversed_order), u.domain, Y)
+        sorted_plan, _ = solve_mk(cost, u.domain, Y)
+        cert = duality_certificate(plan, duals, cost)
+        assert abs(cert["gap"]) <= 1e-12
+        assert cert["I"] == pytest.approx(objective(sorted_plan, cost), rel=1e-12)
+
+    def test_start_named_in_log(self, caplog):
+        u = SampledMap(uniform(5), np.array([[3.0], [1.0], [4.0], [1.0], [5.0]]))
+        Y = line_sites([2.0, 7.0, 1.0, 8.0, 2.0])
+        u2, Y2 = random_instance(np.random.default_rng(5), 8, 8)
+        with caplog.at_level("DEBUG", logger="polarfact"):
+            solve_mk(build_cost(u, Y), u.domain, Y)
+            solve_mk(build_cost(u2, Y2), u2.domain, Y2)
+        one_d, two_d = (r.getMessage() for r in caplog.records if r.name == "polarfact")
+        assert "north-west corner on sorted supports" in one_d and ": 0 pivots" in one_d
+        assert "row-minimum" in two_d
+
+
 class TestShiftedObjective:
     def test_zero_on_gap_free_support(self):
         coords = np.array([[0.0], [1.0]])
