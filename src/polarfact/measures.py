@@ -196,10 +196,9 @@ class ValueLaw:
         b = _snap(other.values, tol)
         if not np.array_equal(a, b):
             return False
-        return all(
-            _masses_close(float(x), float(y), mass_rtol)
-            for x, y in zip(self.masses, other.masses)
-        )
+        x, y = self.masses, other.masses
+        scale = np.maximum(1.0, np.maximum(np.abs(x), np.abs(y)))
+        return bool(np.all(np.abs(x - y) <= mass_rtol * scale))
 
 
 def _snap(values: np.ndarray, cluster_tol: float) -> np.ndarray:
@@ -217,35 +216,58 @@ def _lex_order(values: np.ndarray) -> np.ndarray:
 def value_law(map: SampledMap, cluster_tol: float = 0.0) -> ValueLaw:
     """Cluster the map's values and return the induced (value, mass) atoms.
 
-    cluster_tol = 0 groups exact duplicates; otherwise values are snapped to
-    the grid of spacing cluster_tol and grouped per cell.  The representative
-    of each cluster is its lexicographically smallest member value, which is
-    order-independent.  Atom masses always sum to the domain's total mass.
+    cluster_tol = 0 groups exact duplicates (-0.0 and 0.0 are one value);
+    otherwise values are snapped to the grid of spacing cluster_tol and
+    grouped per cell.  One stable sort by (snapped value, value) makes each
+    cluster a run whose first member is its representative: the
+    lexicographically smallest value, at the lowest domain index among
+    equal ones, so the result does not depend on the order of the domain.
+    Atoms are ordered by representative and list their members in
+    ascending domain index.  An atom's mass is ``np.sum`` of its members'
+    weights in that order: a sequential sum below 8 members, numpy's
+    pairwise sum from 8 on.  Atom masses always sum to the domain's total
+    mass; an empty map has the empty law.
     """
     if cluster_tol < 0:
         raise ValueError("cluster_tol must be >= 0")
     vals = map.values
+    n, d = vals.shape
+    if n == 0:
+        return ValueLaw(np.empty((0, d)), np.empty(0), cluster_tol, ())
     keyed = _snap(vals, cluster_tol)
-    groups: dict = {}
-    for i in range(vals.shape[0]):
-        groups.setdefault(tuple(keyed[i]), []).append(i)
-    reps = []
-    masses = []
-    members = []
+    columns = tuple(vals[:, k] for k in reversed(range(d)))
+    if cluster_tol != 0.0:
+        columns += tuple(keyed[:, k] for k in reversed(range(d)))
+    order = np.lexsort(columns)
+    sorted_keys = keyed[order]
+    starts = np.ones(n, dtype=bool)
+    np.any(sorted_keys[1:] != sorted_keys[:-1], axis=1, out=starts[1:])
+    reps = vals[order[starts]]
+    # snapping keeps each coordinate's order but not the lexicographic order
+    # of whole vectors, so the clusters are ranked by representative
+    n_atoms = reps.shape[0]
+    atom_order = _lex_order(reps)
+    rank = np.empty(n_atoms, dtype=np.intp)
+    rank[atom_order] = np.arange(n_atoms)
+    atom = np.empty(n, dtype=np.intp)
+    atom[order] = rank[np.cumsum(starts) - 1]
+
     w = map.domain.weights
-    for idx in groups.values():
-        sub = vals[idx]
-        rep = sub[_lex_order(sub)[0]]
-        reps.append(rep)
-        masses.append(float(np.sum(w[idx])))
-        members.append(tuple(idx))
-    reps = np.asarray(reps)
-    order = _lex_order(reps)
+    masses = np.bincount(atom, weights=w, minlength=n_atoms)
+    counts = np.bincount(atom, minlength=n_atoms)
+    by_atom = np.argsort(atom, kind="stable")
+    ends = np.cumsum(counts)
+    # bincount sums in sequence, as np.sum does below 8 terms; from 8 on
+    # np.sum adds pairwise, so those atoms are summed by np.sum itself
+    for k in np.nonzero(counts >= 8)[0]:
+        masses[k] = np.sum(w[by_atom[ends[k] - counts[k]:ends[k]]])
+    flat = by_atom.tolist()
+    bounds = [0] + ends.tolist()
     return ValueLaw(
-        values=reps[order],
-        masses=np.asarray(masses)[order],
+        values=reps[atom_order],
+        masses=masses,
         cluster_tol=cluster_tol,
-        members=tuple(tuple(members[k]) for k in order),
+        members=tuple(tuple(flat[s:e]) for s, e in zip(bounds[:-1], bounds[1:])),
     )
 
 

@@ -172,28 +172,20 @@ def _classify(plan: TransportPlan, u: SampledMap, Y: DiscreteMeasure):
     """Factorisation when each row is deterministic and coincident targets
     receive a single value; InclusionOnly otherwise."""
     m = plan.mu.size
-    best_col = np.full(m, -1, dtype=int)
-    best_mass = np.zeros(m)
-    for i, j, t in zip(plan.rows, plan.cols, plan.masses):
-        if t > best_mass[i]:
-            best_mass[i] = t
-            best_col[i] = j
+    best_col, best_mass = plan.dominant_partners("row")
     residues = plan.mu.weights - best_mass
     deterministic = np.all(best_mass >= DOMINANT_FRACTION * plan.mu.weights)
     if not deterministic:
         return INCLUSION_ONLY, None, None, residues
 
-    target_vals = np.full((Y.size, u.codomain_dimension), np.nan)
-    covered = np.zeros(Y.size, dtype=bool)
-    for i in range(m):
-        j = best_col[i]
-        if not covered[j]:
-            covered[j] = True
-            target_vals[j] = u.values[i]
-        elif not np.array_equal(target_vals[j], u.values[i]):
-            # one site would need two different values: no factoring map exists
-            return INCLUSION_ONLY, None, None, residues
-    if not covered.all():
+    # each site takes the value of the first row sent to it; a later row
+    # with another value would need a second value there: no factoring map
+    first = np.full(Y.size, m)
+    np.minimum.at(first, best_col, np.arange(m))
+    if np.any(first == m):
+        return INCLUSION_ONLY, None, None, residues
+    target_vals = u.values[first]
+    if not np.array_equal(target_vals[best_col], u.values):
         return INCLUSION_ONLY, None, None, residues
     factor_map = {plan.mu.labels[i]: Y.labels[best_col[i]] for i in range(m)}
     return FACTORISATION, factor_map, SampledMap(Y, target_vals), residues

@@ -72,19 +72,26 @@ class HeavyAtoms:
         Every designation must match at least one atom; a designation may
         match several when the tolerance overlaps them.
         """
-        hit = set()
-        for k in range(self.n_designations):
-            v = self.values[k]
-            if v.shape[0] != law.values.shape[1]:
-                raise DimensionMismatchError(
-                    f"heavy value has dimension {v.shape[0]}, law {law.values.shape[1]}"
-                )
-            close = np.max(np.abs(law.values - v[None, :]), axis=1) <= self.match_tolerance
-            idx = np.nonzero(close)[0]
-            if idx.size == 0:
-                raise UnknownHeavyAtomError(f"no atom matches heavy value {v.tolist()}")
-            hit.update(int(i) for i in idx)
-        return frozenset(hit)
+        n_designations, dim = self.values.shape
+        if n_designations == 0:
+            return frozenset()
+        if dim != law.values.shape[1]:
+            raise DimensionMismatchError(
+                f"heavy value has dimension {dim}, law {law.values.shape[1]}"
+            )
+        # close[k, a]: designation k is within the tolerance of atom a in
+        # every coordinate
+        close = np.ones((n_designations, law.n_atoms), dtype=bool)
+        for c in range(dim):
+            close &= (
+                np.abs(law.values[None, :, c] - self.values[:, None, c])
+                <= self.match_tolerance
+            )
+        unmatched = np.nonzero(~close.any(axis=1))[0]
+        if unmatched.size:
+            v = self.values[unmatched[0]]
+            raise UnknownHeavyAtomError(f"no atom matches heavy value {v.tolist()}")
+        return frozenset(np.nonzero(close.any(axis=0))[0].tolist())
 
 
 def _coerce_heavy(heavy) -> HeavyAtoms:
@@ -146,37 +153,35 @@ def construct_m_to_1(
         raise ValueError(f"refinement factor must be >= 1, got {m}")
     law = value_law(v, cluster_tol)
     heavy_idx = _coerce_heavy(heavy).atom_indices(law)
-    light_idx = [k for k in range(law.n_atoms) if k not in heavy_idx]
-    for k in light_idx:
-        if len(law.members[k]) != 1:
-            raise MultiCarrierAtomError(
-                f"non-heavy value {law.values[k].tolist()} has "
-                f"{len(law.members[k])} carriers; designate it heavy"
-            )
+    counts = np.fromiter(map(len, law.members), dtype=np.intp, count=law.n_atoms)
+    is_heavy = np.zeros(law.n_atoms, dtype=bool)
+    is_heavy[list(heavy_idx)] = True
+    light_idx = np.nonzero(~is_heavy)[0]
+    multi = light_idx[counts[light_idx] != 1]
+    if multi.size:
+        k = multi[0]
+        raise MultiCarrierAtomError(
+            f"non-heavy value {law.values[k].tolist()} has "
+            f"{counts[k]} carriers; designate it heavy"
+        )
     refined = RefinedDomain(v.domain, m)
     n_parent = v.domain.size
-    values = np.empty((m * n_parent, v.codomain_dimension))
+    dim = v.codomain_dimension
+    values = np.empty((m, n_parent, dim))
 
     # heavy carriers (and their children) keep their own values
-    heavy_parents = set()
-    for k in heavy_idx:
-        heavy_parents.update(law.members[k])
-    for p in heavy_parents:
-        for j in range(m):
-            values[j * n_parent + p] = v.values[p]
+    heavy_parents = [p for k in heavy_idx for p in law.members[k]]
+    values[:, heavy_parents] = v.values[heavy_parents]
 
-    light_carriers = sorted(
-        (law.members[k][0] for k in light_idx),
-        key=lambda p: (v.domain.weights[p], v.domain.labels[p]),
-    )
-    atom_order = sorted(
-        light_idx,
-        key=lambda k: (law.masses[k], tuple(law.values[k])),
-    )
-    for j in range(m):
-        for p, k in zip(light_carriers, atom_order):
-            values[j * n_parent + p] = law.values[k]
-    return SampledMap(refined.measure, values)
+    # stable sorts: carriers by (parent weight, parent label), with labels
+    # kept as Python strings so they compare as str; atoms by (mass, value),
+    # where the law's atoms are already in value order
+    carriers = np.array([law.members[k][0] for k in light_idx], dtype=np.intp)
+    labels = np.array([v.domain.labels[p] for p in carriers], dtype=object)
+    carriers = carriers[np.lexsort((labels, v.domain.weights[carriers]))]
+    atoms = light_idx[np.argsort(law.masses[light_idx], kind="stable")]
+    values[:, carriers] = law.values[atoms]
+    return SampledMap(refined.measure, values.reshape(m * n_parent, dim))
 
 
 @dataclass(frozen=True)
@@ -265,25 +270,6 @@ def restrict_to_value_set(u: SampledMap, box) -> SampledMap:
     return SampledMap(sub, u.values[idx])
 
 
-def _dominant_assignment(plan, nu_weights):
-    """Per-column dominant row, or the list of genuinely split columns."""
-    n = nu_weights.shape[0]
-    best_row = np.full(n, -1, dtype=int)
-    best_mass = np.zeros(n)
-    col_mass = np.zeros(n)
-    for i, j, t in zip(plan.rows, plan.cols, plan.masses):
-        col_mass[j] += t
-        if t > best_mass[j]:
-            best_mass[j] = t
-            best_row[j] = i
-    split = [
-        j
-        for j in range(n)
-        if best_row[j] < 0 or best_mass[j] < DOMINANT_FRACTION * nu_weights[j]
-    ]
-    return best_row, split
-
-
 def monotone_rearrangement(
     u: SampledMap,
     Y: DiscreteMeasure,
@@ -312,7 +298,10 @@ def monotone_rearrangement(
 
     target = Y
     plan, duals = _solve_law_transport(atom_map, target)
-    best_row, split = _dominant_assignment(plan, target.weights)
+    best_row, best_mass = plan.dominant_partners("col")
+    split = np.nonzero(
+        (best_row < 0) | (best_mass < DOMINANT_FRACTION * target.weights)
+    )[0].tolist()
     if split:
         if mode == "strict":
             raise SplitAtomError(

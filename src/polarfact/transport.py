@@ -125,6 +125,31 @@ class TransportPlan:
     def support_per_row(self) -> np.ndarray:
         return np.bincount(self.rows, minlength=self.mu.size)
 
+    def dominant_partners(self, per: str):
+        """Dominant partner of each row (``per="row"``) or column (``"col"``).
+
+        The dominant cell of a row or column is its first triplet, in plan
+        order, with the strictly largest positive mass.  Returns the partner
+        index of that cell and its mass per row or column; -1 and 0.0 where
+        no triplet has positive mass.
+        """
+        if per == "row":
+            keys, partners, n = self.rows, self.cols, self.mu.size
+        elif per == "col":
+            keys, partners, n = self.cols, self.rows, self.nu.size
+        else:
+            raise ValueError(f"per must be 'row' or 'col', got {per!r}")
+        masses = np.where(self.masses > 0.0, self.masses, 0.0)
+        best_mass = np.zeros(n)
+        np.maximum.at(best_mass, keys, masses)
+        hit = np.nonzero((masses > 0.0) & (masses == best_mass[keys]))[0]
+        first = np.full(n, self.n_triplets)
+        np.minimum.at(first, keys[hit], hit)
+        found = first < self.n_triplets
+        partner = np.full(n, -1, dtype=int)
+        partner[found] = partners[first[found]]
+        return partner, best_mass
+
 
 def _measures_agree(a: DiscreteMeasure, b: DiscreteMeasure) -> bool:
     return a is b or (
