@@ -4,8 +4,6 @@ polar inclusions via exact quadratic-cost optimal transport."""
 from .convex import (
     ConvexPotential,
     DualPair,
-    c_transform,
-    double_c_transform,
     fenchel_conjugate,
     fenchel_gap,
 )
@@ -37,7 +35,6 @@ from .rearrangement import (
     construct_m_to_1,
     monotone_rearrangement,
     multiplicity_report,
-    restrict_to_value_set,
 )
 from .transport import (
     CostMatrix,
@@ -57,8 +54,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ConvexPotential",
     "DualPair",
-    "c_transform",
-    "double_c_transform",
     "fenchel_conjugate",
     "fenchel_gap",
     "DiscreteMeasure",
@@ -94,6 +89,5 @@ __all__ = [
     "construct_m_to_1",
     "monotone_rearrangement",
     "multiplicity_report",
-    "restrict_to_value_set",
     "__version__",
 ]

@@ -11,18 +11,20 @@ byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import io
+from .convex import fenchel_gap_many
 from .errors import NumericalFailureError, PolarfactError, SplitAtomError
 from .measures import equimeasurable, validate
 from .polar import (
-    FACTORISATION,
+    DEFAULT_TOL,
     degeneracy_report,
     gallery_instance,
     polar_factorize,
@@ -53,77 +55,56 @@ EXIT_NEGATIVE = 10
 DEFAULT_TOL_ENV = "POLARFACT_TOL"
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    u_path: str | None = None
-    y_path: str | None = None
-    plan_path: str | None = None
-    psi_path: str | None = None
-    heavy_path: str | None = None
-    tol: float = 1e-8
-    cluster_tol: float = 0.0
-    seed: int = 0
-    m: int | None = None
-    name: str | None = None
-    grid: int | None = None
-    oracle: bool = False
-    refine_split: bool = False
-    out: str | None = None
-    format: str = "json"
-
-    def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError(f"tolerance must be > 0, got {self.tol!r}")
-        if self.cluster_tol < 0:
-            raise ValueError(f"cluster tolerance must be >= 0, got {self.cluster_tol!r}")
-        if self.format not in ("json", "csv", "text"):
-            raise ValueError(f"unknown format {self.format!r}")
-
-
 def _resolve_tol(arg_tol):
     if arg_tol is not None:
         return arg_tol
     env = os.environ.get(DEFAULT_TOL_ENV)
-    return float(env) if env else 1e-8
+    return float(env) if env else DEFAULT_TOL
 
 
-def _emit(cfg: RunConfig, doc, csv_text: str, table_text: str) -> None:
-    rendered = {
-        "json": lambda: io.dumps(doc),
-        "csv": lambda: csv_text,
-        "text": lambda: table_text,
-    }[cfg.format]()
-    if cfg.out:
-        io.write_text(cfg.out, rendered)
+def _validate(args: argparse.Namespace) -> None:
+    """Resolve ``--tol`` (flag, then environment, then default) in place and
+    check both tolerances; ``--format`` is checked by argparse."""
+    args.tol = _resolve_tol(args.tol)
+    if not args.tol > 0:
+        raise ValueError(f"tolerance must be > 0, got {args.tol!r}")
+    if not math.isfinite(args.cluster_tol):
+        raise ValueError(f"cluster tolerance must be finite, got {args.cluster_tol!r}")
+    if args.cluster_tol < 0:
+        raise ValueError(f"cluster tolerance must be >= 0, got {args.cluster_tol!r}")
+
+
+def _emit(args: argparse.Namespace, doc, csv_text: str, table_text: str, path=None) -> None:
+    """Render doc in the chosen format to ``path``, else ``--out``, else stdout."""
+    if args.format == "json":
+        rendered = io.dumps(doc)
+    else:
+        rendered = csv_text if args.format == "csv" else table_text
+    path = path or args.out
+    if path:
+        io.write_text(path, rendered)
     else:
         sys.stdout.write(rendered)
 
 
-def _read_instance(cfg: RunConfig):
-    u = io.read_sampled_map(cfg.u_path)
-    Y = io.read_measure(cfg.y_path)
+def _read_instance(args: argparse.Namespace):
+    u = io.read_sampled_map(args.u_path)
+    Y = io.read_measure(args.y_path)
     validate(u.domain)
     validate(Y)
     return u, Y
-
-
-def _heavy_from_config(cfg: RunConfig) -> HeavyAtoms:
-    if cfg.heavy_path is None:
-        return HeavyAtoms.none()
-    return io.read_heavy(cfg.heavy_path)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_solve(cfg: RunConfig) -> int:
-    u, Y = _read_instance(cfg)
+def cmd_solve(args: argparse.Namespace) -> int:
+    u, Y = _read_instance(args)
     cost = build_cost(u, Y)
     plan, duals = solve_mk(cost, u.domain, Y)
     cert = duality_certificate(plan, duals, cost)
-    if cfg.oracle:
+    if args.oracle:
         oracle = brute_force_mk(cost, u.domain, Y)
         if abs(cert["I"] - oracle) > 1e-9 * (1.0 + abs(oracle)):
             print(
@@ -138,14 +119,14 @@ def cmd_solve(cfg: RunConfig) -> int:
         f"I = {cert['I']:.12g}\ndual value = {cert['dual_value']:.12g}\n"
         f"gap = {cert['gap']:.3e}\ntriplets = {plan.n_triplets}\n"
     )
-    _emit(cfg, doc, io.plan_to_csv(plan), summary)
+    _emit(args, doc, io.plan_to_csv(plan), summary)
     certified = abs(cert["gap"]) <= 1e-9 * (1.0 + abs(cert["I"]))
     return EXIT_OK if certified else EXIT_CERTIFICATE
 
 
-def cmd_factorize(cfg: RunConfig) -> int:
-    u, Y = _read_instance(cfg)
-    result = polar_factorize(u, Y, cfg.tol)
+def cmd_factorize(args: argparse.Namespace) -> int:
+    u, Y = _read_instance(args)
+    result = polar_factorize(u, Y, args.tol)
     doc = {
         "classification": result.classification,
         "plan": io.plan_to_dict(result.plan),
@@ -165,19 +146,19 @@ def cmd_factorize(cfg: RunConfig) -> int:
         f"I = {result.certificate['I']:.12g}\n"
         f"duality gap = {result.certificate['gap']:.3e}\n"
     )
-    _emit(cfg, doc, io.plan_to_csv(result.plan), summary)
+    _emit(args, doc, io.plan_to_csv(result.plan), summary)
     return EXIT_OK if result.is_factorisation else EXIT_NEGATIVE
 
 
-def cmd_rearrange(cfg: RunConfig) -> int:
-    v = io.read_sampled_map(cfg.u_path)
+def cmd_rearrange(args: argparse.Namespace) -> int:
+    v = io.read_sampled_map(args.u_path)
     validate(v.domain)
-    heavy = _heavy_from_config(cfg)
-    u = construct_m_to_1(v, cfg.m, heavy, cfg.cluster_tol)
-    if not equimeasurable(u, v, cfg.cluster_tol):
+    heavy = HeavyAtoms.none() if args.heavy_path is None else io.read_heavy(args.heavy_path)
+    u = construct_m_to_1(v, args.m, heavy, args.cluster_tol)
+    if not equimeasurable(u, v, args.cluster_tol):
         print("certification failure: output is not equimeasurable", file=sys.stderr)
         return EXIT_CERTIFICATE
-    report = multiplicity_report(u, heavy, cfg.cluster_tol)
+    report = multiplicity_report(u, heavy, args.cluster_tol)
     doc = {
         "map": io.sampled_map_to_dict(u),
         "report": io.multiplicity_report_to_dict(report),
@@ -186,16 +167,14 @@ def cmd_rearrange(cfg: RunConfig) -> int:
     rows = [
         {**row, "value": json.dumps(row["value"])} for row in report.rows()
     ]
-    _emit(cfg, doc, io.rows_to_csv(rows, columns), io.rows_to_table(rows, columns))
+    _emit(args, doc, io.rows_to_csv(rows, columns), io.rows_to_table(rows, columns))
     return EXIT_OK
 
 
-def cmd_monotone(cfg: RunConfig) -> int:
-    u, Y = _read_instance(cfg)
-    mode = "refine" if cfg.refine_split else "strict"
-    u_sharp, psi = monotone_rearrangement(u, Y, cfg.cluster_tol, mode=mode)
-    from .convex import fenchel_gap_many
-
+def cmd_monotone(args: argparse.Namespace) -> int:
+    u, Y = _read_instance(args)
+    mode = "refine" if args.refine_split else "strict"
+    u_sharp, psi = monotone_rearrangement(u, Y, args.cluster_tol, mode=mode)
     gaps = fenchel_gap_many(psi, u_sharp.values, np.arange(u_sharp.domain.size))
     doc = {
         "map": io.sampled_map_to_dict(u_sharp),
@@ -207,25 +186,25 @@ def cmd_monotone(cfg: RunConfig) -> int:
         {"label": lbl, "value": json.dumps(u_sharp.values[k].tolist())}
         for k, lbl in enumerate(u_sharp.domain.labels)
     ]
-    _emit(cfg, doc, io.rows_to_csv(rows, ["label", "value"]), summary)
+    _emit(args, doc, io.rows_to_csv(rows, ["label", "value"]), summary)
     return EXIT_OK
 
 
-def cmd_gallery(cfg: RunConfig) -> int:
-    u, Y, heavy = gallery_instance(cfg.name, cfg.grid, cfg.seed)
-    result = polar_factorize(u, Y, cfg.tol)
+def cmd_gallery(args: argparse.Namespace) -> int:
+    u, Y, heavy = gallery_instance(args.name, args.grid, args.seed)
+    result = polar_factorize(u, Y, args.tol)
     cost = build_cost(u, Y)
-    deg = degeneracy_report(result.plan, result.duals, cost, cfg.tol)
-    mult = multiplicity_report(u, heavy, cfg.cluster_tol)
-    out_dir = cfg.out or "."
+    deg = degeneracy_report(result.plan, result.duals, cost, args.tol)
+    mult = multiplicity_report(u, heavy, args.cluster_tol)
+    out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     io.write_text(os.path.join(out_dir, "u.json"), io.dumps(io.sampled_map_to_dict(u)))
     io.write_text(os.path.join(out_dir, "Y.json"), io.dumps(io.measure_to_dict(Y)))
     io.write_text(os.path.join(out_dir, "heavy.json"), io.dumps(io.heavy_to_dict(heavy)))
     report = {
-        "name": cfg.name,
-        "grid": cfg.grid,
-        "seed": cfg.seed,
+        "name": args.name,
+        "grid": args.grid,
+        "seed": args.seed,
         "classification": result.classification,
         "certificate": result.certificate,
         "max_gap": result.max_gap,
@@ -234,55 +213,53 @@ def cmd_gallery(cfg: RunConfig) -> int:
         "zero_column_counts": deg.zero_column_counts,
         "multiplicity": io.multiplicity_report_to_dict(mult),
     }
-    ext = {"json": "json", "csv": "csv", "text": "txt"}[cfg.format]
+    ext = {"json": "json", "csv": "csv", "text": "txt"}[args.format]
     rows = [
         {"key": k, "value": json.dumps(v) if isinstance(v, (dict, list)) else v}
         for k, v in report.items()
         if k not in ("multiplicity", "zero_column_counts")
     ]
-    rendered = {
-        "json": lambda: io.dumps(report),
-        "csv": lambda: io.rows_to_csv(rows, ["key", "value"]),
-        "text": lambda: io.rows_to_table(rows, ["key", "value"]),
-    }[cfg.format]()
-    io.write_text(os.path.join(out_dir, f"report.{ext}"), rendered)
+    _emit(args, report, io.rows_to_csv(rows, ["key", "value"]),
+          io.rows_to_table(rows, ["key", "value"]), os.path.join(out_dir, f"report.{ext}"))
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    u, Y = _read_instance(cfg)
-    plan = io.read_plan(cfg.plan_path, u.domain, Y)
+def cmd_verify(args: argparse.Namespace) -> int:
+    u, Y = _read_instance(args)
+    plan = io.read_plan(args.plan_path, u.domain, Y)
     plan.validate()
-    psi = io.read_potential(cfg.psi_path, Y)
-    certified, max_gap = verify_polar_inclusion(plan, psi, u, cfg.tol)
+    psi = io.read_potential(args.psi_path, Y)
+    certified, max_gap = verify_polar_inclusion(plan, psi, u, args.tol)
     cost = build_cost(u, Y)
     i_plan = objective(plan, cost)
     doc = {"max_gap": max_gap, "I": i_plan, "inclusion_certified": certified}
     if not certified:
-        print(f"inclusion fails: max gap = {max_gap:.6e} > tol = {cfg.tol:.1e}", file=sys.stderr)
-        _emit_verify(cfg, doc)
+        print(f"inclusion fails: max gap = {max_gap:.6e} > tol = {args.tol:.1e}", file=sys.stderr)
+        _emit_verify(args, doc)
         return EXIT_INCLUSION
     opt_plan, _ = solve_mk(cost, u.domain, Y)
     i_opt = objective(opt_plan, cost)
     doc["optimum"] = i_opt
     doc["delta"] = i_plan - i_opt
-    optimal = verify_optimality_of_inclusion(plan, psi, u, cfg.tol)
+    optimal = verify_optimality_of_inclusion(plan, psi, u, args.tol)
     doc["optimality_certified"] = optimal
     print(f"max gap = {max_gap:.6e}; I - optimum = {i_plan - i_opt:.6e}", file=sys.stderr)
-    _emit_verify(cfg, doc)
+    _emit_verify(args, doc)
     return EXIT_OK if optimal else EXIT_OPTIMALITY
 
 
-def _emit_verify(cfg: RunConfig, doc: dict) -> None:
+def _emit_verify(args: argparse.Namespace, doc: dict) -> None:
     rows = [{"key": k, "value": v} for k, v in doc.items()]
-    _emit(cfg, doc, io.rows_to_csv(rows, ["key", "value"]), io.rows_to_table(rows, ["key", "value"]))
+    _emit(args, doc, io.rows_to_csv(rows, ["key", "value"]), io.rows_to_table(rows, ["key", "value"]))
 
 
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use."""
     p = argparse.ArgumentParser(
         prog="polarfact",
         description="Exact discrete transport, monotone rearrangements, "
@@ -309,66 +286,52 @@ def _parser() -> argparse.ArgumentParser:
     common(sp, u=True, y=True)
     sp.add_argument("--oracle", action="store_true",
                     help="cross-check against the permutation oracle (uniform, <= 8 points)")
-    sp.set_defaults(func=cmd_solve)
 
     sp = sub.add_parser("factorize", help="polar factorisation / inclusion pipeline")
     common(sp, u=True, y=True)
-    sp.set_defaults(func=cmd_factorize)
 
     sp = sub.add_parser("rearrange", help="block construction attaining each value m times")
     common(sp, u=True)
     sp.add_argument("--m", type=int, required=True, help="refinement factor (>= 1)")
     sp.add_argument("--heavy", default=None, dest="heavy_path", metavar="FILE",
                     help="heavy value designations (JSON)")
-    sp.set_defaults(func=cmd_rearrange)
 
     sp = sub.add_parser("monotone", help="monotone rearrangement onto a target measure")
     common(sp, u=True, y=True)
     sp.add_argument("--refine-split", action="store_true", dest="refine_split",
                     help="subdivide split target sites and re-solve once")
-    sp.set_defaults(func=cmd_monotone)
 
     sp = sub.add_parser("gallery", help="generate a benchmark instance and run the pipeline")
     common(sp)
     sp.add_argument("--name", required=True, help="flat-segment | m-to-1-flat | injective-control")
     sp.add_argument("--grid", type=int, required=True, metavar="N")
-    sp.set_defaults(func=cmd_gallery)
 
     sp = sub.add_parser("verify", help="re-verify an inclusion certificate and optimality")
     common(sp, u=True, y=True)
     sp.add_argument("--plan", required=True, dest="plan_path", metavar="FILE")
     sp.add_argument("--psi", required=True, dest="psi_path", metavar="FILE")
-    sp.set_defaults(func=cmd_verify)
     return p
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        cfg = RunConfig(
-            command=args.command,
-            u_path=getattr(args, "u_path", None),
-            y_path=getattr(args, "y_path", None),
-            plan_path=getattr(args, "plan_path", None),
-            psi_path=getattr(args, "psi_path", None),
-            heavy_path=getattr(args, "heavy_path", None),
-            tol=_resolve_tol(args.tol),
-            cluster_tol=args.cluster_tol,
-            seed=args.seed,
-            m=getattr(args, "m", None),
-            name=getattr(args, "name", None),
-            grid=getattr(args, "grid", None),
-            oracle=getattr(args, "oracle", False),
-            refine_split=getattr(args, "refine_split", False),
-            out=args.out,
-            format=args.format,
-        )
+        _validate(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
+    # looked up at each call, so a rebound module attribute is the one called
+    handlers = {
+        "solve": cmd_solve,
+        "factorize": cmd_factorize,
+        "rearrange": cmd_rearrange,
+        "monotone": cmd_monotone,
+        "gallery": cmd_gallery,
+        "verify": cmd_verify,
+    }
     try:
-        return args.func(cfg)
+        return handlers[args.command](args)
     except json.JSONDecodeError as exc:
         print(f"error: malformed JSON: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -1,4 +1,4 @@
-"""Discrete Legendre-Fenchel conjugacy, c-transforms and Fenchel-gap certificates.
+"""Discrete Legendre-Fenchel conjugacy, c-concave dual pairs and Fenchel-gap certificates.
 
 A potential is represented by its samples on a finite site set Y in R^n; the
 implied global function is the one that is +inf off the support, so its
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .measures import DiscreteMeasure, SampledMap
+from .measures import DiscreteMeasure
 
 
 @dataclass(frozen=True)
@@ -105,45 +105,6 @@ def conjugate_many(psi: ConvexPotential, queries: np.ndarray) -> np.ndarray:
             f"queries have dimension {q.shape[1]}, support {psi.dimension}"
         )
     return np.max(q @ psi.support.coords.T - psi.psi_values[None, :], axis=1)
-
-
-def quadratic_cost_row(u_value, Y: DiscreteMeasure) -> np.ndarray:
-    """c(u_value, y_j) = |u_value - y_j|^2 / 2 for every site of Y."""
-    q = _check_query(u_value, Y.coords.shape[1])
-    diff = Y.coords - q[None, :]
-    return 0.5 * np.sum(diff * diff, axis=1)
-
-
-def c_transform(phi: np.ndarray, u_value, Y: DiscreteMeasure) -> float:
-    """phi^c at one point: min_j (|u_value - y_j|^2/2 - phi_j)."""
-    phi = np.asarray(phi, dtype=float).reshape(-1)
-    if phi.shape[0] != Y.size:
-        raise DimensionMismatchError(f"{phi.shape[0]} potential samples for {Y.size} sites")
-    return float(np.min(quadratic_cost_row(u_value, Y) - phi))
-
-
-def double_c_transform(phi: np.ndarray, u_values: SampledMap, Y: DiscreteMeasure) -> np.ndarray:
-    """phi^cc on Y, transforming through the sampled points of ``u_values``.
-
-    For a c-concave phi this reproduces phi; in general it is the c-concave
-    envelope relative to the given X samples.
-    """
-    phi = np.asarray(phi, dtype=float).reshape(-1)
-    if phi.shape[0] != Y.size:
-        raise DimensionMismatchError(f"{phi.shape[0]} potential samples for {Y.size} sites")
-    if u_values.codomain_dimension != Y.coords.shape[1]:
-        raise DimensionMismatchError(
-            f"map codomain {u_values.codomain_dimension} vs site dimension {Y.coords.shape[1]}"
-        )
-    c = _pairwise_quadratic_cost(u_values.values, Y.coords)
-    phi_c = np.min(c - phi[None, :], axis=1)
-    return np.min(c - phi_c[:, None], axis=0)
-
-
-def _pairwise_quadratic_cost(values: np.ndarray, sites: np.ndarray) -> np.ndarray:
-    sq_v = 0.5 * np.sum(values * values, axis=1)
-    sq_y = 0.5 * np.sum(sites * sites, axis=1)
-    return sq_v[:, None] + sq_y[None, :] - values @ sites.T
 
 
 def fenchel_gap(psi: ConvexPotential, u_value, y_index: int) -> float:

@@ -228,6 +228,8 @@ def value_law(map: SampledMap, cluster_tol: float = 0.0) -> ValueLaw:
     pairwise sum from 8 on.  Atom masses always sum to the domain's total
     mass; an empty map has the empty law.
     """
+    if not np.isfinite(cluster_tol):
+        raise ValueError("cluster_tol must be finite")
     if cluster_tol < 0:
         raise ValueError("cluster_tol must be >= 0")
     vals = map.values

@@ -15,7 +15,6 @@ for level sets of positive measure and are left untouched.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -243,31 +242,6 @@ def multiplicity_report(u: SampledMap, heavy=None, cluster_tol: float = 0.0) -> 
     heavy_idx = _coerce_heavy(heavy).atom_indices(law)
     counts = np.array([len(ms) for ms in law.members], dtype=int)
     return MultiplicityReport(law.values, law.masses, counts, heavy_idx)
-
-
-def restrict_to_value_set(u: SampledMap, box) -> SampledMap:
-    """Sub-map carried by the points whose value lies in a closed box.
-
-    ``box`` is a (lower, upper) pair of vectors.  An empty restriction is
-    returned (with a warning) rather than raised.
-    """
-    lo = np.asarray(box[0], dtype=float).reshape(-1)
-    hi = np.asarray(box[1], dtype=float).reshape(-1)
-    if lo.shape[0] != u.codomain_dimension or hi.shape[0] != u.codomain_dimension:
-        raise DimensionMismatchError("box dimension does not match the map's codomain")
-    if np.any(hi < lo):
-        raise ValueError("degenerate box: upper corner below lower corner")
-    inside = np.all((u.values >= lo) & (u.values <= hi), axis=1)
-    idx = np.nonzero(inside)[0]
-    if idx.size == 0:
-        warnings.warn("value-set restriction is empty", stacklevel=2)
-    dom = u.domain
-    sub = DiscreteMeasure(
-        tuple(dom.labels[i] for i in idx),
-        dom.weights[idx],
-        None if dom.coords is None else dom.coords[idx],
-    )
-    return SampledMap(sub, u.values[idx])
 
 
 def monotone_rearrangement(

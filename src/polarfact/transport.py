@@ -36,7 +36,6 @@ up to accumulation error.
 from __future__ import annotations
 
 import logging
-from collections import deque
 from dataclasses import dataclass, field
 from itertools import permutations
 
@@ -116,6 +115,8 @@ class TransportPlan:
         """Check both marginals against the declared measures."""
         if self.n_triplets and np.any(self.masses <= 0):
             raise MarginalMismatchError("plan masses must be > 0")
+        if not np.all(np.isfinite(self.masses)):
+            raise MarginalMismatchError("plan masses must be finite")
         scale = max(1.0, self.mu.total_mass)
         if np.max(np.abs(self.row_sums() - self.mu.weights), initial=0.0) > rtol * scale:
             raise MarginalMismatchError("row sums do not match the source weights")
@@ -261,6 +262,25 @@ def _scc(n_nodes: int, edges) -> np.ndarray:
     return comp
 
 
+def _condensation_ranks(n_nodes: int, edges) -> np.ndarray:
+    """Rank of each node's strongly connected component: the length of the
+    longest path that ends at the component in the condensation.
+
+    ``_scc`` numbers components in reverse topological order, so every
+    edge between components runs from a higher number to a lower one;
+    relaxing those edges by descending source fixes each rank before it
+    is read.
+    """
+    scc = _scc(n_nodes, edges)
+    cross = sorted(
+        ((int(scc[p]), int(scc[q])) for p, q in edges if scc[p] != scc[q]), reverse=True
+    )
+    rank = [0] * n_nodes
+    for s, t in cross:
+        rank[t] = max(rank[t], rank[s] + 1)
+    return np.asarray(rank, dtype=int)[scc]
+
+
 def _strictify_duals(C, rows, cols, alpha, beta, zero_tol):
     """Open positive slack between support components where the optimal face
     allows it, keeping feasibility, support tightness and the gauge.
@@ -306,26 +326,7 @@ def _strictify_duals(C, rows, cols, alpha, beta, zero_tol):
     )
     off_diag = ~np.eye(K, dtype=bool)
     zero_edges = list(zip(*np.nonzero((S <= zero_tol) & off_diag)))
-
-    scc = _scc(K, zero_edges)
-    n_scc = int(scc.max()) + 1
-    # longest-path ranks over the condensation: delta must grow along edges
-    indeg = np.zeros(n_scc, dtype=int)
-    cond_adj = [set() for _ in range(n_scc)]
-    for p, q in zero_edges:
-        if scc[p] != scc[q] and scc[q] not in cond_adj[scc[p]]:
-            cond_adj[scc[p]].add(scc[q])
-            indeg[scc[q]] += 1
-    rank = np.zeros(n_scc, dtype=int)
-    ready = deque(sorted(np.nonzero(indeg == 0)[0].tolist()))
-    while ready:
-        s = ready.popleft()
-        for t in sorted(cond_adj[s]):
-            rank[t] = max(rank[t], rank[s] + 1)
-            indeg[t] -= 1
-            if indeg[t] == 0:
-                ready.append(t)
-    comp_rank = rank[scc]
+    comp_rank = _condensation_ranks(K, zero_edges)
     # only pairs whose shift goes against the slack constrain the step size:
     # gamma * (rank_p - rank_q) <= S[p, q] wherever rank_p > rank_q
     rank_drop = comp_rank[:, None] - comp_rank[None, :]

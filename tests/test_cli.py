@@ -369,6 +369,47 @@ class TestVerify:
                      "--psi", result, "--tol", "0"]) == 2
 
 
+class TestValidation:
+    @pytest.mark.parametrize(
+        "value, message",
+        [("nan", "must be finite, got nan"), ("inf", "must be finite, got inf"),
+         ("-1", "must be >= 0, got -1.0")],
+    )
+    @pytest.mark.parametrize("command", ["rearrange", "monotone"])
+    def test_bad_cluster_tol_exits_2(self, paired_instance, capsys, command, value, message):
+        u_path, y_path = paired_instance
+        target = ["--m", "2"] if command == "rearrange" else ["--Y", y_path]
+        assert main([command, "--u", u_path, *target, "--cluster-tol", value]) == 2
+        assert f"error: cluster tolerance {message}\n" == capsys.readouterr().err
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_nan_plan_mass_exits_2(self, paired_instance, tmp_path, capsys, fmt):
+        u_path, y_path = paired_instance
+        result = tmp_path / "result.json"
+        assert main(["factorize", "--u", u_path, "--Y", y_path, "--out", str(result)]) == 0
+        doc = json.loads(result.read_text())
+        doc["plan"]["triplets"][0]["mass"] = float("nan")
+        plan_path = tmp_path / "plan.json"
+        write(plan_path, json.dumps(doc["plan"]))
+        capsys.readouterr()
+        code = main(["verify", "--u", u_path, "--Y", y_path, "--plan", str(plan_path),
+                     "--psi", str(result), "--format", fmt])
+        assert code == 2
+        assert capsys.readouterr().err == "error: plan masses must be finite\n"
+
+    def test_handler_looked_up_at_call_time(self, tmp_path, monkeypatch):
+        # the parser is built once; a later rebinding of a handler must
+        # still be the function that runs
+        assert main(["gallery", "--name", "nope", "--grid", "8"]) == 2
+        assert cli._parser() is cli._parser()
+        seen = []
+        monkeypatch.setattr(cli, "cmd_gallery", lambda args: seen.append(args.name) or 0)
+        assert main(["gallery", "--name", "flat-segment", "--grid", "4",
+                     "--out", str(tmp_path)]) == 0
+        assert seen == ["flat-segment"]
+        assert not (tmp_path / "report.json").exists()
+
+
 class TestFormats:
     def test_csv_and_text_renderings(self, paired_instance, tmp_path):
         u_path, y_path = paired_instance

@@ -3,14 +3,12 @@ import pytest
 
 from polarfact.convex import (
     ConvexPotential,
-    c_transform,
     conjugate_many,
-    double_c_transform,
     fenchel_conjugate,
     fenchel_gap,
 )
 from polarfact.errors import DimensionMismatchError
-from polarfact.measures import DiscreteMeasure, SampledMap
+from polarfact.measures import DiscreteMeasure
 
 
 def sites(coords, prefix="y"):
@@ -70,68 +68,6 @@ class TestFenchelConjugate:
         for q, v in zip(queries, batch):
             # batch path reduces dot products in a different order
             assert v == pytest.approx(fenchel_conjugate(psi, q), rel=1e-12, abs=1e-12)
-
-
-class TestCTransform:
-    def test_zero_phi_at_matching_site(self):
-        Y = sites([[0.0, 0.0], [1.0, 2.0]])
-        assert c_transform(np.zeros(2), [1.0, 2.0], Y) == pytest.approx(0.0)
-
-    def test_midpoint_enumeration(self):
-        Y = sites([0.0, 1.0])
-        # min(|0.5|^2/2, |0.5-1|^2/2) = 0.125 at both sites
-        assert c_transform(np.zeros(2), [0.5], Y) == pytest.approx(0.125)
-
-    def test_shifted_phi_enumeration(self):
-        Y = sites([0.0, 1.0])
-        # min(0 - 1, 0.5 - 0) = -1
-        assert c_transform(np.array([1.0, 0.0]), [0.0], Y) == pytest.approx(-1.0)
-
-
-class TestDoubleCTransform:
-    def _paired_instance(self, rng, n, dim):
-        coords = rng.normal(size=(n, dim))
-        Y = sites(coords)
-        X = DiscreteMeasure.uniform(n, coords=None, prefix="x")
-        u = SampledMap(X, coords[rng.permutation(n)])
-        return u, Y
-
-    def test_constant_phi_preserved_on_paired_instance(self):
-        # u values coincide with the sites, so every column is some row's
-        # nearest site and the two transforms cancel the shift exactly
-        rng = np.random.default_rng(2)
-        u, Y = self._paired_instance(rng, 2, 1)
-        for k in (-3.0, 0.0, 1.7):
-            phi = np.full(2, k)
-            out = double_c_transform(phi, u, Y)
-            np.testing.assert_allclose(out, phi, atol=1e-12)
-
-    def test_idempotent_on_c_concave_input(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            n = int(rng.integers(2, 8))
-            u, Y = self._paired_instance(rng, n, 2)
-            raw = rng.normal(size=n)
-            concave = double_c_transform(raw, u, Y)
-            again = double_c_transform(concave, u, Y)
-            np.testing.assert_allclose(again, concave, atol=1e-9)
-
-    def test_triple_transform_identity(self):
-        # phi^ccc = phi^c on random instances up to 20 x 20
-        rng = np.random.default_rng(4)
-        for _ in range(30):
-            m, n = int(rng.integers(1, 21)), int(rng.integers(1, 21))
-            coords = rng.normal(size=(n, 2))
-            Y = sites(coords)
-            u = SampledMap(DiscreteMeasure.uniform(m), rng.normal(size=(m, 2)))
-            phi = rng.normal(size=n)
-            from polarfact.convex import _pairwise_quadratic_cost
-
-            c = _pairwise_quadratic_cost(u.values, coords)
-            phi_c = np.min(c - phi[None, :], axis=1)
-            phi_cc = double_c_transform(phi, u, Y)
-            phi_ccc = np.min(c - phi_cc[None, :], axis=1)
-            np.testing.assert_allclose(phi_ccc, phi_c, atol=1e-9)
 
 
 class TestFenchelGap:

@@ -58,6 +58,12 @@ class TestValidate:
 
 
 class TestValueLaw:
+    @pytest.mark.parametrize("cluster_tol", [float("nan"), float("inf"), -1e-3])
+    def test_non_finite_or_negative_cluster_tol_rejected(self, cluster_tol):
+        X = abstract([0.5, 0.5])
+        with pytest.raises(ValueError):
+            value_law(SampledMap(X, [[1.0], [0.0]]), cluster_tol)
+
     def test_distinct_values(self):
         X = abstract([0.5, 0.5])
         law = value_law(SampledMap(X, [[1.0], [0.0]]))

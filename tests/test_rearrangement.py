@@ -14,7 +14,6 @@ from polarfact.rearrangement import (
     construct_m_to_1,
     monotone_rearrangement,
     multiplicity_report,
-    restrict_to_value_set,
 )
 
 
@@ -139,41 +138,6 @@ class TestMultiplicityReport:
         assert rep.n_atoms == 2 * N
         assert rep.m_to_1 == N // 2
         np.testing.assert_allclose(rep.masses, 4.0 / (2 * N))
-
-
-class TestRestrictToValueSet:
-    def test_superset_box_keeps_everything(self):
-        u = SampledMap(uniform(3), [[0.0, 0.0], [1.0, 2.0], [-1.0, 0.5]])
-        sub = restrict_to_value_set(u, ([-5.0, -5.0], [5.0, 5.0]))
-        assert sub.domain.size == 3
-        np.testing.assert_array_equal(sub.values, u.values)
-
-    def test_disjoint_box_is_empty_with_warning(self):
-        u = SampledMap(uniform(2), [[0.0], [1.0]])
-        with pytest.warns(UserWarning):
-            sub = restrict_to_value_set(u, ([5.0], [6.0]))
-        assert sub.domain.size == 0
-
-    def test_boundary_included(self):
-        u = SampledMap(uniform(2), [[0.0], [1.0]])
-        sub = restrict_to_value_set(u, ([1.0], [2.0]))
-        assert sub.domain.size == 1
-        assert sub.domain.labels == ("x1",)
-
-    def test_half_plane_on_sign_classes(self):
-        N = 8
-        ticks = np.linspace(-1.0, 1.0, N)
-        g1, g2 = np.meshgrid(ticks, ticks, indexing="ij")
-        coords = np.column_stack([g1.ravel(), g2.ravel()])
-        grid = uniform(N * N, total=4.0, coords=coords, prefix="g")
-        u = SampledMap(grid, np.column_stack([np.sign(coords[:, 0]), coords[:, 1]]))
-        pos = restrict_to_value_set(u, ([0.5, -2.0], [2.0, 2.0]))
-        assert pos.domain.size == N * N // 2
-
-    def test_degenerate_box_rejected(self):
-        u = SampledMap(uniform(2), [[0.0], [1.0]])
-        with pytest.raises(ValueError):
-            restrict_to_value_set(u, ([1.0], [0.0]))
 
 
 class TestMonotoneRearrangement:

@@ -16,6 +16,8 @@ from polarfact.transport import (
     CostMatrix,
     TransportPlan,
     _Simplex,
+    _condensation_ranks,
+    _scc,
     brute_force_mk,
     build_cost,
     duality_certificate,
@@ -132,6 +134,20 @@ class TestObjective:
         plan = TransportPlan([0], [0], [1.0], other, Y)
         with pytest.raises(MarginalMismatchError):
             objective(plan, cost)
+
+
+class TestPlanValidate:
+    def test_nan_mass_rejected(self):
+        X, Y = uniform(2), line_sites([0.0, 1.0])
+        plan = TransportPlan([0, 1], [0, 1], [0.5, np.nan], X, Y)
+        with pytest.raises(MarginalMismatchError, match="finite"):
+            plan.validate()
+
+    def test_non_positive_mass_keeps_its_message(self):
+        X, Y = uniform(2), line_sites([0.0, 1.0])
+        plan = TransportPlan([0, 1], [0, 1], [0.5, 0.0], X, Y)
+        with pytest.raises(MarginalMismatchError, match="> 0"):
+            plan.validate()
 
 
 class TestBruteForce:
@@ -544,3 +560,56 @@ class TestRandomPlan:
     def test_unequal_mass_rejected(self):
         with pytest.raises(UnequalMassError):
             random_plan(uniform(2, total=2.0), uniform(2, coords=[[0.0], [1.0]]), 0)
+
+
+def kahn_condensation_ranks(n_nodes, edges):
+    """Reference ranking: longest paths over the condensation by Kahn's
+    queue, the form strictification used before its one-pass ranking."""
+    scc = _scc(n_nodes, edges)
+    n_scc = int(scc.max()) + 1
+    indeg = np.zeros(n_scc, dtype=int)
+    cond_adj = [set() for _ in range(n_scc)]
+    for p, q in edges:
+        if scc[p] != scc[q] and scc[q] not in cond_adj[scc[p]]:
+            cond_adj[scc[p]].add(scc[q])
+            indeg[scc[q]] += 1
+    rank = np.zeros(n_scc, dtype=int)
+    ready = deque(sorted(np.nonzero(indeg == 0)[0].tolist()))
+    while ready:
+        s = ready.popleft()
+        for t in sorted(cond_adj[s]):
+            rank[t] = max(rank[t], rank[s] + 1)
+            indeg[t] -= 1
+            if indeg[t] == 0:
+                ready.append(t)
+    return rank[scc]
+
+
+def random_digraph(rng):
+    n = int(rng.integers(2, 40))
+    # about 0.5 to 3 edges per node: many components, some cycles
+    adj = rng.uniform(size=(n, n)) < rng.uniform(0.5, 3.0) / n
+    np.fill_diagonal(adj, False)
+    return n, list(zip(*np.nonzero(adj)))
+
+
+class TestCondensationRanks:
+    def test_matches_kahn_reference_on_random_graphs(self):
+        rng = np.random.default_rng(1972)
+        for _ in range(1000):
+            n, edges = random_digraph(rng)
+            np.testing.assert_array_equal(
+                _condensation_ranks(n, edges), kahn_condensation_ranks(n, edges)
+            )
+
+    def test_scc_numbers_components_in_reverse_topological_order(self):
+        rng = np.random.default_rng(1973)
+        for _ in range(300):
+            n, edges = random_digraph(rng)
+            scc = _scc(n, edges)
+            assert all(scc[p] >= scc[q] for p, q in edges)
+
+    def test_chain_and_cycle(self):
+        # 0 -> 1 -> 2 with 2 <-> 3 in one component, and 4 isolated
+        edges = [(0, 1), (1, 2), (2, 3), (3, 2)]
+        np.testing.assert_array_equal(_condensation_ranks(5, edges), [0, 1, 2, 2, 0])
