@@ -68,6 +68,8 @@ def _validate(args: argparse.Namespace) -> None:
     args.tol = _resolve_tol(args.tol)
     if not args.tol > 0:
         raise ValueError(f"tolerance must be > 0, got {args.tol!r}")
+    if not math.isfinite(args.tol):
+        raise ValueError(f"tolerance must be finite, got {args.tol!r}")
     if not math.isfinite(args.cluster_tol):
         raise ValueError(f"cluster tolerance must be finite, got {args.cluster_tol!r}")
     if args.cluster_tol < 0:
@@ -275,7 +277,8 @@ def _parser() -> argparse.ArgumentParser:
             sp.add_argument("--Y", required=True, dest="y_path", metavar="FILE",
                             help="target measure (JSON or CSV)")
         sp.add_argument("--tol", type=float, default=None,
-                        help=f"certificate tolerance (default 1e-8, env {DEFAULT_TOL_ENV})")
+                        help=f"certificate tolerance (default {DEFAULT_TOL:g}, "
+                        f"env {DEFAULT_TOL_ENV})")
         sp.add_argument("--cluster-tol", type=float, default=0.0, dest="cluster_tol",
                         help="value clustering tolerance (default 0: exact duplicates)")
         sp.add_argument("--seed", type=int, default=0)

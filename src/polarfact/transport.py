@@ -368,7 +368,14 @@ class _Simplex:
         self.tol = 1e-11 * max(1.0, float(np.max(np.abs(C)))) if C.size else 1e-11
         self.degenerate_pivots = 0
         self.bland_switches = 0
+        # pricing writes the reduced costs into one buffer through views
+        # made once here, and a pivot shifts duals item by item through a
+        # memoryview of pot
         self._reduced = np.empty(C.shape)
+        self._reduced_flat = self._reduced.reshape(-1)
+        self._alpha_col = self.alpha[:, None]
+        self._beta_row = self.beta[None, :]
+        self._pot_items = memoryview(self.pot)
 
     def _cell(self, v: int) -> tuple:
         """The basic cell joining node v to its parent."""
@@ -384,32 +391,34 @@ class _Simplex:
         (row, column, mass) triplets.
         """
         edges = []
-        ra = self.a.copy()
-        rb = self.b.copy()
-        col_active = np.ones(self.n, dtype=bool)
+        ra = self.a.tolist()
+        rb = self.b.tolist()
+        # 0 on active columns and +inf on crossed-out ones: added to a row
+        # of finite costs, its argmin is the cheapest active column
+        closed = np.zeros(self.n)
         n_active = self.n
         for i in range(self.m):
             last_row = i == self.m - 1
+            row = self.C[i]
             while True:
-                masked = np.where(col_active, self.C[i], np.inf)
-                j = int(np.argmin(masked))
+                j = int((row + closed).argmin())
                 if last_row:
                     if n_active > 1:
-                        t = max(float(rb[j]), 0.0)
+                        t = max(rb[j], 0.0)
                         edges.append((i, j, t))
                         ra[i] -= t
                         rb[j] = 0.0
-                        col_active[j] = False
+                        closed[j] = np.inf
                         n_active -= 1
                         continue
-                    edges.append((i, j, max(float(ra[i]), 0.0)))
+                    edges.append((i, j, max(ra[i], 0.0)))
                     return edges
-                t = float(min(ra[i], rb[j]))
+                t = min(ra[i], rb[j])
                 if rb[j] < ra[i] and n_active > 1:
                     edges.append((i, j, t))
                     ra[i] -= t
                     rb[j] = 0.0
-                    col_active[j] = False
+                    closed[j] = np.inf
                     n_active -= 1
                 else:
                     # row exhausted (ties also close the row; the column
@@ -450,58 +459,82 @@ class _Simplex:
     # -- duals -----------------------------------------------------------------
     def _recompute_duals(self) -> None:
         """Exact duals from the tree, rooted at the first column (beta_0 = 0)."""
-        C, alpha, beta, m = self.C, self.alpha, self.beta, self.m
-        beta[0] = 0.0
+        C, m = self.C, self.m
+        pot = [0.0] * (m + self.n)
         stack = [m]
         while stack:
             node = stack.pop()
             for nxt in self.children[node]:
                 if nxt < m:
-                    alpha[nxt] = C[nxt, node - m] - beta[node - m]
+                    pot[nxt] = C.item(nxt, node - m) - pot[node]
                 else:
-                    beta[nxt - m] = C[node, nxt - m] - alpha[node]
+                    pot[nxt] = C.item(node, nxt - m) - pot[node]
                 stack.append(nxt)
+        self.pot[:] = pot
 
     # -- pivoting ----------------------------------------------------------------
     def _entering(self, bland: bool):
-        reduced = self._reduced
-        np.subtract(self.C, self.alpha[:, None], out=reduced)
-        np.subtract(reduced, self.beta[None, :], out=reduced)
-        flat = reduced.ravel()
+        """Price every cell against the current duals and return the
+        entering cell, or None when no reduced cost is below -tol.  The
+        entering cell's reduced cost is kept for ``_pivot``."""
+        reduced, flat = self._reduced, self._reduced_flat
+        np.subtract(self.C, self._alpha_col, out=reduced)
+        np.subtract(reduced, self._beta_row, out=reduced)
         if bland:
             hit = np.flatnonzero(flat < -self.tol)
             if hit.size == 0:
                 return None
             k = int(hit[0])
         else:
-            k = int(np.argmin(flat))
-            if flat[k] >= -self.tol:
-                return None
+            k = int(flat.argmin())
+        cost = flat.item(k)
+        if cost >= -self.tol:
+            return None
+        self._entering_cost = cost
         return divmod(k, self.n)
 
     def _pivot(self, ei: int, ej: int) -> float:
+        """Pivot the cell (ei, ej) last returned by ``_entering`` into the
+        basis; returns theta, the mass it receives."""
         m = self.m
         parent, depth, children, flow = self.parent, self.depth, self.children, self.flow
         # the cycle closed by (ei, ej) is the tree path between its ends:
         # climb both to their lowest common ancestor, listing each node
-        # passed for the cell joining it to its parent
+        # passed for the cell joining it to its parent.  Rows and columns
+        # alternate on each side, and the cells that lose mass are those of
+        # every other node from ei and from column ej, both included.
         u, v = ei, m + ej
-        minus, plus = [], []
+        du, dv = depth[u], depth[v]
+        up, vp = [], []
+        while du > dv:
+            up.append(u)
+            u = parent[u]
+            du -= 1
+        while dv > du:
+            vp.append(v)
+            v = parent[v]
+            dv -= 1
         while u != v:
-            if depth[u] >= depth[v]:
-                (minus if u < m else plus).append(u)
-                u = parent[u]
-            else:
-                (minus if v >= m else plus).append(v)
-                v = parent[v]
-        theta = min(map(flow.__getitem__, minus))
-        _, q = min((self._cell(w), w) for w in minus if flow[w] == theta)
-        for w in plus:
-            flow[w] += theta
-        for w in minus:
-            f = flow[w] - theta
-            flow[w] = 0.0 if f < 0.0 else f
-        delta = float(self.C[ei, ej] - self.alpha[ei] - self.beta[ej])
+            up.append(u)
+            u = parent[u]
+            vp.append(v)
+            v = parent[v]
+        minus = up[::2] + vp[::2]
+        flows = [flow[w] for w in minus]
+        theta = min(flows)
+        if flows.count(theta) == 1:
+            q = minus[flows.index(theta)]
+        else:
+            # each row of the cycle has one cell that loses mass, so the
+            # lexicographically first tied cell is the one with the least row
+            _, q = min((w if w < m else parent[w], w) for w, f in zip(minus, flows) if f == theta)
+        if theta:  # a degenerate pivot moves no mass
+            for w in up[1::2] + vp[1::2]:
+                flow[w] += theta
+            for w, f in zip(minus, flows):
+                f -= theta
+                flow[w] = 0.0 if f < 0.0 else f
+        delta = self._entering_cost
         # dropping the leaving cell cuts off the subtree under q; it holds
         # ei when q is a row (rows are cut on the way up), else column ej
         a, b = (ei, m + ej) if q < m else (m + ej, ei)
@@ -518,17 +551,20 @@ class _Simplex:
             node, new_parent, new_flow = old_parent, node, old_flow
         # reset depths below a and shift the duals of the side that moved,
         # the one without the root, so that (ei, ej) prices to zero
+        rs = delta if a == ei else -delta  # rows move by rs, columns by -rs
+        pot = self._pot_items
         depth[a] = depth[b] + 1
+        pot[a] += delta  # a is row ei (rs = delta) or column ej (-rs = delta)
         moved = [a]
         for node in moved:
             below = children[node]
-            d = depth[node] + 1
-            for nxt in below:
-                depth[nxt] = d
-            moved.extend(below)
-        moved = np.array(moved)
-        shift = delta if a == ei else -delta
-        self.pot[moved] += np.where(moved < m, shift, -shift)
+            if below:
+                d = depth[node] + 1
+                s = -rs if node < m else rs
+                for nxt in below:
+                    depth[nxt] = d
+                    pot[nxt] += s
+                moved += below
         return float(theta)
 
     def solve(self, order=None) -> int:

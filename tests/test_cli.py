@@ -8,6 +8,7 @@ from polarfact import cli, io
 from polarfact.cli import main
 from polarfact.errors import SplitAtomError
 from polarfact.measures import DiscreteMeasure, SampledMap
+from polarfact.polar import DEFAULT_TOL
 
 
 def write(path, text):
@@ -381,6 +382,44 @@ class TestValidation:
         target = ["--m", "2"] if command == "rearrange" else ["--Y", y_path]
         assert main([command, "--u", u_path, *target, "--cluster-tol", value]) == 2
         assert f"error: cluster tolerance {message}\n" == capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "0"])
+    def test_non_finite_or_non_positive_tol_exits_2(self, paired_instance, tmp_path, capsys,
+                                                     value):
+        # an infinite tolerance would pass every gap <= tol check
+        u_path, y_path = paired_instance
+        out = tmp_path / "result.json"
+        code = main(["factorize", "--u", u_path, "--Y", y_path, f"--tol={value}",
+                     "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+        kind = "finite" if value == "inf" else "> 0"
+        message = f"error: tolerance must be {kind}, got {float(value)!r}\n"
+        assert capsys.readouterr().err == message
+
+    def test_infinite_env_tol_exits_2(self, paired_instance, tmp_path, capsys, monkeypatch):
+        # with an infinite tolerance a psi raised at one site would still be
+        # written out as a certified inclusion
+        u_path, y_path = paired_instance
+        result = tmp_path / "result.json"
+        assert main(["factorize", "--u", u_path, "--Y", y_path, "--out", str(result)]) == 0
+        doc = json.loads(result.read_text())
+        doc["psi"][0] += 5.0
+        psi_path = tmp_path / "psi.json"
+        write(psi_path, json.dumps(doc["psi"]))
+        args = ["verify", "--u", u_path, "--Y", y_path, "--plan", str(result),
+                "--psi", str(psi_path), "--out", str(tmp_path / "verify.json")]
+        assert main(args) == 4
+        capsys.readouterr()
+        monkeypatch.setenv("POLARFACT_TOL", "inf")
+        assert main(args) == 2
+        assert capsys.readouterr().err == "error: tolerance must be finite, got inf\n"
+
+    def test_tol_help_names_the_library_default(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["solve", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert f"(default {DEFAULT_TOL:g}, env POLARFACT_TOL)" in help_text
 
     @pytest.mark.parametrize("fmt", ["json", "text"])
     def test_nan_plan_mass_exits_2(self, paired_instance, tmp_path, capsys, fmt):

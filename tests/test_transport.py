@@ -283,6 +283,17 @@ def simplex_instance(name):
     return build_cost(u, Y).entries, u.domain.weights, Y.weights
 
 
+def integer_grid_instance(seed, m, n):
+    """Cost matrix and uniform marginals of 2-D values and sites with
+    integer coordinates in [-2, 2]: many equal costs and tied pivots."""
+    rng = np.random.default_rng(seed)
+    values = rng.integers(-2, 3, (m, 2)).astype(float)
+    sites = rng.integers(-2, 3, (n, 2)).astype(float)
+    u = SampledMap(uniform(m), values)
+    Y = uniform(n, coords=sites, prefix="y")
+    return build_cost(u, Y).entries, u.domain.weights, Y.weights
+
+
 def reference_pivot(basis, m, ei, ej):
     """Apply one pivot to a {cell: mass} basis the plain way: search the
     tree path from row ei to column ej, take the alternate cells from ei as
@@ -363,6 +374,21 @@ class TestSimplexTree:
         sx = CheckedSimplex(*simplex_instance(name))
         pivots = sx.solve()
         assert pivots == sx.checked > 0
+
+    @pytest.mark.parametrize(
+        "name", ["gallery-m-to-1-flat", "gallery-injective-control", "grid-7-30-30"]
+    )
+    def test_tree_invariants_on_instances_with_ties(self, name):
+        # degenerate bases whose cycles often reach theta at several cells,
+        # so the leaving cell is picked among ties
+        if name.startswith("grid"):
+            C, a, b = integer_grid_instance(*(int(s) for s in name.split("-")[1:]))
+        else:
+            C, a, b = simplex_instance(name)
+        sx = CheckedSimplex(C, a, b)
+        pivots = sx.solve()
+        assert pivots == sx.checked > 0
+        assert sx.degenerate_pivots > 0
 
     def test_duals_are_exact_tree_duals_at_the_end(self):
         sx = _Simplex(*simplex_instance("weighted-12-20-26"))
