@@ -74,6 +74,9 @@ class CostMatrix:
             raise DimensionMismatchError(
                 f"cost shape {e.shape} vs measures ({self.mu.size}, {self.nu.size})"
             )
+        if not np.isfinite(e).all():
+            # |u(x) - y|^2 / 2 overflows for coordinates beyond about 1e154
+            raise DimensionMismatchError("non-finite cost entry: coordinates too large to square")
 
     @property
     def shape(self):
@@ -216,50 +219,52 @@ def _scc(n_nodes: int, edges) -> np.ndarray:
     adj = [[] for _ in range(n_nodes)]
     for p, q in edges:
         adj[p].append(q)
-    index = np.full(n_nodes, -1, dtype=int)
-    lowlink = np.zeros(n_nodes, dtype=int)
-    on_stack = np.zeros(n_nodes, dtype=bool)
-    comp = np.full(n_nodes, -1, dtype=int)
+    index = [-1] * n_nodes
+    lowlink = [0] * n_nodes
+    on_stack = [False] * n_nodes
+    comp = [-1] * n_nodes
     stack: list = []
     counter = 0
     n_comp = 0
     for root in range(n_nodes):
         if index[root] != -1:
             continue
-        work = [(root, 0)]
+        index[root] = lowlink[root] = counter
+        counter += 1
+        if not adj[root]:  # no way out: a component of its own
+            comp[root] = n_comp
+            n_comp += 1
+            continue
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, iter(adj[root]))]
         while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = lowlink[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            while pi < len(adj[v]):
-                w = adj[v][pi]
-                pi += 1
+            v, out = work[-1]
+            for w in out:
                 if index[w] == -1:
-                    work[-1] = (v, pi)
-                    work.append((w, 0))
-                    advanced = True
+                    index[w] = lowlink[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(adj[w])))
                     break
-                if on_stack[w]:
-                    lowlink[v] = min(lowlink[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if lowlink[v] == index[v]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp[w] = n_comp
-                    if w == v:
-                        break
-                n_comp += 1
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
-    return comp
+                if on_stack[w] and index[w] < lowlink[v]:
+                    lowlink[v] = index[w]
+            else:
+                work.pop()
+                if lowlink[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp[w] = n_comp
+                        if w == v:
+                            break
+                    n_comp += 1
+                if work:
+                    parent = work[-1][0]
+                    if lowlink[v] < lowlink[parent]:
+                        lowlink[parent] = lowlink[v]
+    return np.asarray(comp, dtype=int)
 
 
 def _condensation_ranks(n_nodes: int, edges) -> np.ndarray:
@@ -272,16 +277,19 @@ def _condensation_ranks(n_nodes: int, edges) -> np.ndarray:
     is read.
     """
     scc = _scc(n_nodes, edges)
-    cross = sorted(
-        ((int(scc[p]), int(scc[q])) for p, q in edges if scc[p] != scc[q]), reverse=True
-    )
+    label = scc.tolist()
+    cross = sorted({(label[p], label[q]) for p, q in edges if label[p] != label[q]}, reverse=True)
     rank = [0] * n_nodes
     for s, t in cross:
-        rank[t] = max(rank[t], rank[s] + 1)
+        if rank[s] + 1 > rank[t]:
+            rank[t] = rank[s] + 1
     return np.asarray(rank, dtype=int)[scc]
 
 
-def _strictify_duals(C, rows, cols, alpha, beta, zero_tol):
+_GAMMA_BLOCK = 1 << 14  # cells per row block of the step-size scan
+
+
+def _strictify_duals(comp, n_comp, slack, alpha, beta, zero_tol):
     """Open positive slack between support components where the optimal face
     allows it, keeping feasibility, support tightness and the gauge.
 
@@ -291,52 +299,43 @@ def _strictify_duals(C, rows, cols, alpha, beta, zero_tol):
     keeps all support cells tight; ranking the components along the
     condensation of the zero-slack graph makes every slack that is not
     forced tight strictly positive.
+
+    ``comp`` labels the rows and then the columns by support component,
+    ``n_comp`` of them, and ``slack`` holds the reduced costs
+    (C - alpha) - beta of the duals given.
     """
-    m, n = C.shape
-    parent = list(range(m + n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, j in zip(rows, cols):
-        ra, rb = find(int(i)), find(m + int(j))
-        if ra != rb:
-            parent[ra] = rb
-    comp_row = np.array([find(i) for i in range(m)])
-    comp_col = np.array([find(m + j) for j in range(n)])
-    uniq, inv = np.unique(np.concatenate([comp_row, comp_col]), return_inverse=True)
-    comp_row = inv[:m]
-    comp_col = inv[m:]
-    K = uniq.shape[0]
-    if K == 1:
+    if n_comp == 1:
         return alpha, beta
-
-    slack = C - alpha[:, None] - beta[None, :]
-    S = np.full((K, K), np.inf)
-    np.minimum.at(
-        S,
-        (
-            np.broadcast_to(comp_row[:, None], (m, n)),
-            np.broadcast_to(comp_col[None, :], (m, n)),
-        ),
-        slack,
-    )
-    off_diag = ~np.eye(K, dtype=bool)
-    zero_edges = list(zip(*np.nonzero((S <= zero_tol) & off_diag)))
-    comp_rank = _condensation_ranks(K, zero_edges)
-    # only pairs whose shift goes against the slack constrain the step size:
-    # gamma * (rank_p - rank_q) <= S[p, q] wherever rank_p > rank_q
-    rank_drop = comp_rank[:, None] - comp_rank[None, :]
-    binding = (rank_drop > 0) & np.isfinite(S) & off_diag
-    if np.any(binding):
-        gamma = 0.5 * float(np.min(S[binding] / rank_drop[binding]))
-    else:
-        gamma = 1.0
-    if gamma <= 0.0:
-        return alpha, beta
+    m, n = slack.shape
+    comp_row, comp_col = comp[:m], comp[m:]
+    # zero-slack pairs of components, read off the tight cells
+    tight = np.flatnonzero(slack <= zero_tol)
+    p, q = comp_row[tight // n], comp_col[tight % n]
+    cross = p != q
+    zero_edges = set(zip(p[cross].tolist(), q[cross].tolist()))
+    comp_rank = _condensation_ranks(n_comp, zero_edges)
+    # only cells whose shift goes against the slack constrain the step size:
+    # gamma * (rank of row - rank of column) <= slack wherever that drop is
+    # > 0.  Such a cell is never tight (the column of a tight cell outranks
+    # its row or shares its rank), so with slacks raised to zero_tol > 0 and
+    # drops clipped at 0 the quotient is exact there and +inf elsewhere.
+    # Row blocks keep the temporaries in cache.
+    rank_row = comp_rank[comp_row].astype(float)
+    rank_col = comp_rank[comp_col].astype(float)
+    step = max(1, _GAMMA_BLOCK // n)
+    drop = np.empty((min(step, m), n))
+    ratio = np.empty_like(drop)
+    bound = np.inf
+    with np.errstate(divide="ignore"):
+        for start in range(0, m, step):
+            stop = min(start + step, m)
+            d, r = drop[: stop - start], ratio[: stop - start]
+            np.subtract(rank_row[start:stop, None], rank_col, out=d)
+            np.maximum(d, 0.0, out=d)
+            np.maximum(slack[start:stop], zero_tol, out=r)
+            np.divide(r, d, out=r)
+            bound = min(bound, float(r.min()))
+    gamma = 0.5 * bound if bound < np.inf else 1.0
     delta = gamma * comp_rank
     delta = delta - delta[comp_col[0]]  # keep phi(y_1) = 0
     return alpha + delta[comp_row], beta - delta[comp_col]
@@ -577,9 +576,9 @@ class _Simplex:
             start = self._initial_basis()
         else:
             # the m+n-1 staircase cells, zero cells kept, span all nodes
-            rows, cols = order
-            cells = _northwest_cells(self.a[rows], self.b[cols])
-            start = [(int(rows[i]), int(cols[j]), t) for i, j, t in cells]
+            rows, cols = order[0].tolist(), order[1].tolist()
+            cells = _northwest_cells(self.a[order[0]], self.b[order[1]])
+            start = [(rows[i], cols[j], t) for i, j, t in cells]
         self._build_tree(start)
         self._recompute_duals()
         fresh = True  # the duals are a recompute from the current tree
@@ -616,14 +615,38 @@ class _Simplex:
     def plan_triplets(self):
         """Rows, columns and masses of the basic cells with positive mass,
         in row-major order."""
-        cells = sorted(
-            self._cell(v) + (self.flow[v],)
-            for v in range(self.m + self.n)
-            if v != self.m and self.flow[v] > 0.0
-        )
-        rows = np.array([c[0] for c in cells], dtype=int)
-        cols = np.array([c[1] for c in cells], dtype=int)
-        return rows, cols, np.array([c[2] for c in cells], dtype=float)
+        m = self.m
+        parent = np.array(self.parent)
+        flow = np.array(self.flow, dtype=float)
+        flow[m] = 0.0  # the root has no cell
+        node = np.flatnonzero(flow > 0.0)
+        up = parent[node]
+        is_row = node < m
+        rows = np.where(is_row, node, up)
+        cols = np.where(is_row, up, node) - m
+        order = np.lexsort((cols, rows))
+        return rows[order], cols[order], flow[node[order]]
+
+    def support_components(self):
+        """Connected components of the plan's support, from one pass over
+        the basis tree: a node shares its parent's component when the cell
+        joining them carries mass, and opens a new one otherwise.  Returns
+        the labels of the rows and then the columns, and their number."""
+        flow, children = self.flow, self.children
+        comp = [0] * (self.m + self.n)
+        n_comp = 1
+        stack = [self.m]
+        while stack:
+            node = stack.pop()
+            label = comp[node]
+            for nxt in children[node]:
+                if flow[nxt] > 0.0:
+                    comp[nxt] = label
+                else:
+                    comp[nxt] = n_comp
+                    n_comp += 1
+                stack.append(nxt)
+        return np.asarray(comp, dtype=int), n_comp
 
 
 def solve_mk(cost: CostMatrix, mu: DiscreteMeasure, nu: DiscreteMeasure):
@@ -647,8 +670,11 @@ def solve_mk(cost: CostMatrix, mu: DiscreteMeasure, nu: DiscreteMeasure):
     )
     rows, cols, masses = sx.plan_triplets()
     plan = TransportPlan(rows, cols, masses, mu, nu)
+    # solve returns right after a pricing pass on these duals, so the
+    # pricing buffer holds their reduced costs
+    comp, n_comp = sx.support_components()
     alpha, beta = _strictify_duals(
-        cost.entries, rows, cols, sx.alpha.copy(), sx.beta.copy(), sx.tol
+        comp, n_comp, sx._reduced, sx.alpha.copy(), sx.beta.copy(), sx.tol
     )
     duals = DualPair(alpha, beta, cost)
     cert = duality_certificate(plan, duals, cost)
@@ -691,11 +717,11 @@ def shifted_objective(plan: TransportPlan, psi: ConvexPotential, u: SampledMap) 
 
 def _northwest_cells(a: np.ndarray, b: np.ndarray):
     m, n = a.shape[0], b.shape[0]
-    ra, rb = a.astype(float).copy(), b.astype(float).copy()
+    ra, rb = np.asarray(a, dtype=float).tolist(), np.asarray(b, dtype=float).tolist()
     i = j = 0
     cells = []
     while True:
-        t = float(min(ra[i], rb[j]))
+        t = min(ra[i], rb[j])
         cells.append((i, j, t))
         ra[i] -= t
         rb[j] -= t

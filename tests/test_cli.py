@@ -436,6 +436,20 @@ class TestValidation:
         assert code == 2
         assert capsys.readouterr().err == "error: plan masses must be finite\n"
 
+    @pytest.mark.parametrize("command", ["solve", "factorize", "monotone"])
+    def test_overflowing_cost_exits_2(self, tmp_path, capsys, command):
+        # a site at 1e200 squares to inf: bad input, not a certification failure
+        u_path, y_path = tmp_path / "u.json", tmp_path / "Y.json"
+        write(u_path, json.dumps({"measure": measure_doc([0.5, 0.5], prefix="x"),
+                                  "values": [[0.0], [1.0]]}))
+        write(y_path, json.dumps(measure_doc([0.5, 0.5], [[0.0], [1e200]])))
+        out = tmp_path / "out.json"
+        code = main([command, "--u", str(u_path), "--Y", str(y_path), "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err == "error: non-finite cost entry: coordinates too large to square\n"
+
     def test_handler_looked_up_at_call_time(self, tmp_path, monkeypatch):
         # the parser is built once; a later rebinding of a handler must
         # still be the function that runs

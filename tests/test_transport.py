@@ -6,6 +6,7 @@ import pytest
 
 from polarfact.convex import ConvexPotential
 from polarfact.errors import (
+    DimensionMismatchError,
     MarginalMismatchError,
     OracleScopeExceededError,
     UnequalMassError,
@@ -80,6 +81,16 @@ class TestBuildCost:
         u = SampledMap(uniform(2, total=2.0), [[1.0], [0.0]])
         with pytest.raises(UnequalMassError):
             build_cost(u, line_sites([0.0, 1.0]))
+
+    def test_overflowing_cost_rejected(self):
+        # 1e200 squared overflows to inf; pricing against an infinite cost
+        # once ran into the pivot safeguard instead of reporting the input
+        u = SampledMap(uniform(2), [[0.0], [1.0]])
+        with pytest.raises(DimensionMismatchError, match="non-finite cost"):
+            build_cost(u, line_sites([0.0, 1e200]))
+        for bad in (np.inf, np.nan):
+            with pytest.raises(DimensionMismatchError, match="non-finite cost"):
+                CostMatrix([[0.0, bad], [1.0, 0.0]], uniform(2), line_sites([0.0, 1.0]))
 
 
 class TestCostRelabelling:
