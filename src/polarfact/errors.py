@@ -30,7 +30,9 @@ class MarginalMismatchError(PolarfactError):
 
 
 class NumericalFailureError(PolarfactError):
-    """The pivoting safeguard of the transport solver was exceeded."""
+    """A computed result failed its own check: a certificate (duality gap,
+    inclusion, conjugate identity, equimeasurability) or the solver's
+    pivoting safeguard."""
 
 
 class OracleScopeExceededError(PolarfactError):

@@ -125,15 +125,29 @@ def measure_from_dict(doc: dict) -> DiscreteMeasure:
 
 
 def read_measure_csv(path: str) -> DiscreteMeasure:
-    """CSV import: columns label, coord_1..coord_n, weight (header row)."""
+    """CSV import: columns label, coord_1..coord_n, weight (header row).
+
+    Raises ValueError on a missing or different header, or on a row whose
+    field count differs from the header's; blank lines are skipped.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        n_coords = sum(1 for h in header if h.startswith("coord_"))
+        header = next(reader, [])
+        n_coords = len(header) - 2
+        expected = ["label", *(f"coord_{k}" for k in range(1, n_coords + 1)), "weight"]
+        if header != expected:
+            raise ValueError(
+                f"{path}: CSV header must be label,coord_1,...,coord_n,weight; got {header}"
+            )
         labels, weights, coords = [], [], []
         for row in reader:
             if not row:
                 continue
+            if len(row) != len(header):
+                raise ValueError(
+                    f"{path}: line {reader.line_num} has {len(row)} fields, "
+                    f"the header has {len(header)}"
+                )
             labels.append(row[0])
             weights.append(float(row[-1]))
             if n_coords:
@@ -174,10 +188,6 @@ def read_sampled_map(path: str) -> SampledMap:
 # potentials, plans, heavy designations
 # ---------------------------------------------------------------------------
 
-def potential_to_list(psi: ConvexPotential):
-    return psi.psi_values
-
-
 def read_potential(path: str, support: DiscreteMeasure) -> ConvexPotential:
     doc = load_json(path)
     if isinstance(doc, dict):
@@ -209,10 +219,17 @@ def read_plan(path: str, mu: DiscreteMeasure, nu: DiscreteMeasure) -> TransportP
     if not isinstance(doc, dict) or "triplets" not in doc:
         raise ValueError("plan file holds no 'triplets' list")
     trip = doc["triplets"]
-    rows = np.array([int(t["i"]) for t in trip], dtype=int)
-    cols = np.array([int(t["j"]) for t in trip], dtype=int)
+    rows = np.array([_plan_index(t, "i") for t in trip], dtype=int)
+    cols = np.array([_plan_index(t, "j") for t in trip], dtype=int)
     masses = np.array([float(t["mass"]) for t in trip], dtype=float)
     return TransportPlan(rows, cols, masses, mu, nu)
+
+
+def _plan_index(triplet: dict, key: str) -> int:
+    value = triplet[key]
+    if type(value) is not int:
+        raise ValueError(f"plan index {key!r} must be an integer, got {value!r}")
+    return value
 
 
 def read_heavy(path: str) -> HeavyAtoms:

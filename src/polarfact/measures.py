@@ -18,21 +18,11 @@ from .errors import (
     DimensionMismatchError,
     DuplicateLabelError,
     NegativeWeightError,
-    UnequalMassError,
     UnknownLabelError,
 )
+from .tolerances import EXACT_RTOL, RTOL, check_balanced
 
 ABSTRACT = "abstract"
-
-# Relative tolerance used whenever two masses are compared.
-MASS_RTOL = 1e-9
-
-# Relative tolerance on the total-mass precondition of equimeasurable().
-TOTAL_MASS_RTOL = 1e-12
-
-
-def _masses_close(a: float, b: float, rtol: float = MASS_RTOL) -> bool:
-    return abs(a - b) <= rtol * max(1.0, abs(a), abs(b))
 
 
 @dataclass(frozen=True)
@@ -181,7 +171,7 @@ class ValueLaw:
     def total_mass(self) -> float:
         return float(np.sum(self.masses))
 
-    def matches(self, other: "ValueLaw", mass_rtol: float = MASS_RTOL) -> bool:
+    def matches(self, other: "ValueLaw", mass_rtol: float = RTOL) -> bool:
         """True when both laws hold the same (value, mass) atoms.
 
         Values are compared through the shared snapping grid (exactly when
@@ -279,9 +269,7 @@ def equimeasurable(f: SampledMap, g: SampledMap, cluster_tol: float = 0.0) -> bo
         raise DimensionMismatchError(
             f"codomain dimensions differ: {f.codomain_dimension} vs {g.codomain_dimension}"
         )
-    mf, mg = f.domain.total_mass, g.domain.total_mass
-    if not _masses_close(mf, mg, TOTAL_MASS_RTOL):
-        raise UnequalMassError(f"total masses differ: {mf!r} vs {mg!r}")
+    check_balanced(f.domain.total_mass, g.domain.total_mass, EXACT_RTOL)
     return value_law(f, cluster_tol).matches(value_law(g, cluster_tol))
 
 

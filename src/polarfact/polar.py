@@ -34,7 +34,8 @@ from .errors import (
     UnknownLabelError,
 )
 from .measures import DiscreteMeasure, SampledMap, value_law
-from .rearrangement import DOMINANT_FRACTION, HeavyAtoms, construct_m_to_1
+from .rearrangement import HeavyAtoms, construct_m_to_1
+from .tolerances import DEFAULT_TOL, RTOL, dominant, gap_vanishes
 from .transport import (
     CostMatrix,
     TransportPlan,
@@ -47,8 +48,6 @@ from .transport import (
 
 FACTORISATION = "Factorisation"
 INCLUSION_ONLY = "InclusionOnly"
-
-DEFAULT_TOL = 1e-8
 
 GALLERY_NAMES = ("flat-segment", "m-to-1-flat", "injective-control")
 
@@ -76,7 +75,7 @@ def plan_from_map(
         discrepancy = np.abs(plan.col_sums() - nu.weights)
         worst = int(np.argmax(discrepancy))
         scale = max(1.0, nu.total_mass)
-        if discrepancy[worst] > 1e-9 * scale:
+        if not discrepancy[worst] <= RTOL * scale:
             raise NotMeasurePreservingError(
                 f"column {nu.labels[worst]!r} receives {plan.col_sums()[worst]!r} "
                 f"instead of {nu.weights[worst]!r}"
@@ -145,7 +144,7 @@ def polar_factorize(u: SampledMap, Y: DiscreteMeasure, tol: float = DEFAULT_TOL)
     identity_err = float(
         np.max(np.abs(conj - (0.5 * np.sum(u.values * u.values, axis=1) - duals.phi_c)))
     )
-    if identity_err > tol:
+    if not identity_err <= tol:
         raise NumericalFailureError(
             f"conjugate identity violated by {identity_err!r} at some source point"
         )
@@ -174,7 +173,7 @@ def _classify(plan: TransportPlan, u: SampledMap, Y: DiscreteMeasure):
     m = plan.mu.size
     best_col, best_mass = plan.dominant_partners("row")
     residues = plan.mu.weights - best_mass
-    deterministic = np.all(best_mass >= DOMINANT_FRACTION * plan.mu.weights)
+    deterministic = np.all(dominant(best_mass, plan.mu.weights))
     if not deterministic:
         return INCLUSION_ONLY, None, None, residues
 
@@ -196,7 +195,6 @@ def verify_optimality_of_inclusion(
     psi: ConvexPotential,
     u: SampledMap,
     tol: float = DEFAULT_TOL,
-    rtol: float = 1e-9,
 ) -> bool:
     """Confirm by an independent re-solve that a certified inclusion plan is
     optimal, and that its gap-weighted objective vanishes."""
@@ -209,10 +207,9 @@ def verify_optimality_of_inclusion(
     opt_plan, _ = solve_mk(cost, pi.mu, pi.nu)
     i_pi = objective(pi, cost)
     i_opt = objective(opt_plan, cost)
-    if i_pi > i_opt + rtol * (1.0 + abs(i_opt)):
+    if not i_pi <= i_opt + RTOL * (1.0 + abs(i_opt)):
         return False
-    j_pi = shifted_objective(pi, psi, u)
-    return j_pi <= rtol * (1.0 + abs(i_pi))
+    return shifted_objective(pi, psi, u) <= RTOL * (1.0 + abs(i_pi))
 
 
 @dataclass(frozen=True)
@@ -241,7 +238,7 @@ def degeneracy_report(
     costs are only meaningful against optimal duals.
     """
     cert = duality_certificate(plan, duals, cost)
-    if abs(cert["gap"]) > 1e-9 * (1.0 + abs(cert["I"])):
+    if not gap_vanishes(cert["gap"], cert["I"]):
         raise CertificateMissingError(
             f"duality gap {cert['gap']!r} is not certified zero"
         )

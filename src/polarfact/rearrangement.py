@@ -33,13 +33,8 @@ from .measures import (
     ValueLaw,
     value_law,
 )
+from .tolerances import DEFAULT_TOL, dominant
 from .transport import build_cost, solve_mk
-
-# A target site counts as assigned to a single atom when its dominant plan
-# cell carries at least this fraction of the site's mass.
-DOMINANT_FRACTION = 1.0 - 1e-9
-
-CERTIFICATE_GAP_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -93,17 +88,6 @@ class HeavyAtoms:
         return frozenset(np.nonzero(close.any(axis=0))[0].tolist())
 
 
-def _coerce_heavy(heavy) -> HeavyAtoms:
-    if heavy is None:
-        return HeavyAtoms.none()
-    if isinstance(heavy, HeavyAtoms):
-        return heavy
-    vals = list(heavy)
-    if not vals:
-        return HeavyAtoms.none()
-    return HeavyAtoms(np.asarray(vals, dtype=float))
-
-
 @dataclass(frozen=True)
 class RefinedDomain:
     """A domain split into m equal-mass blocks of children per parent.
@@ -128,11 +112,6 @@ class RefinedDomain:
         coords = None if p.coords is None else np.tile(p.coords, (m, 1))
         object.__setattr__(self, "measure", DiscreteMeasure(labels, weights, coords))
 
-    def block_indices(self, j: int) -> np.ndarray:
-        """Child indices of block j (1-based), one per parent, in parent order."""
-        n = self.parent.size
-        return np.arange((j - 1) * n, j * n)
-
 
 def construct_m_to_1(
     v: SampledMap, m: int, heavy=None, cluster_tol: float = 0.0
@@ -151,7 +130,7 @@ def construct_m_to_1(
     if m < 1:
         raise ValueError(f"refinement factor must be >= 1, got {m}")
     law = value_law(v, cluster_tol)
-    heavy_idx = _coerce_heavy(heavy).atom_indices(law)
+    heavy_idx = (HeavyAtoms.none() if heavy is None else heavy).atom_indices(law)
     counts = np.fromiter(map(len, law.members), dtype=np.intp, count=law.n_atoms)
     is_heavy = np.zeros(law.n_atoms, dtype=bool)
     is_heavy[list(heavy_idx)] = True
@@ -239,7 +218,7 @@ class MultiplicityReport:
 def multiplicity_report(u: SampledMap, heavy=None, cluster_tol: float = 0.0) -> MultiplicityReport:
     """Count carriers per value atom and summarise the level-set structure."""
     law = value_law(u, cluster_tol)
-    heavy_idx = _coerce_heavy(heavy).atom_indices(law)
+    heavy_idx = (HeavyAtoms.none() if heavy is None else heavy).atom_indices(law)
     counts = np.array([len(ms) for ms in law.members], dtype=int)
     return MultiplicityReport(law.values, law.masses, counts, heavy_idx)
 
@@ -260,7 +239,7 @@ def monotone_rearrangement(
     the certifying potential.
 
     Returns (u_sharp, psi) with u_sharp equimeasurable with u and
-    fenchel_gap(psi, u_sharp(y), y) <= 1e-8 at every site.
+    fenchel_gap(psi, u_sharp(y), y) <= DEFAULT_TOL at every site.
     """
     if mode not in ("strict", "refine"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -271,11 +250,9 @@ def monotone_rearrangement(
     atom_map = SampledMap(atoms, law.values)
 
     target = Y
-    plan, duals = _solve_law_transport(atom_map, target)
+    plan, duals = solve_mk(build_cost(atom_map, target), atoms, target)
     best_row, best_mass = plan.dominant_partners("col")
-    split = np.nonzero(
-        (best_row < 0) | (best_mass < DOMINANT_FRACTION * target.weights)
-    )[0].tolist()
+    split = np.nonzero((best_row < 0) | ~dominant(best_mass, target.weights))[0].tolist()
     if split:
         if mode == "strict":
             raise SplitAtomError(
@@ -286,26 +263,19 @@ def monotone_rearrangement(
         # the refined assignment keeps the first plan's cost, so it is optimal
         # for the refined target; the re-solve supplies an independent dual
         # that certifies it through the Fenchel gaps below
-        _, duals = _solve_law_transport(atom_map, target)
+        _, duals = solve_mk(build_cost(atom_map, target), atoms, target)
 
     values = law.values[best_row]
     psi_vals = 0.5 * np.sum(target.coords * target.coords, axis=1) - duals.phi
     psi = ConvexPotential(target, psi_vals)
     u_sharp = SampledMap(target, values)
 
-    gaps = fenchel_gap_many(psi, values, np.arange(target.size))
-    if float(np.max(gaps)) > CERTIFICATE_GAP_TOL:
-        raise NumericalFailureError(
-            f"subdifferential certificate failed: max gap {float(np.max(gaps))!r}"
-        )
+    max_gap = float(np.max(fenchel_gap_many(psi, values, np.arange(target.size))))
+    if not max_gap <= DEFAULT_TOL:
+        raise NumericalFailureError(f"subdifferential certificate failed: max gap {max_gap!r}")
     if not value_law(u_sharp, cluster_tol).matches(law):
         raise NumericalFailureError("rearrangement output is not equimeasurable with input")
     return u_sharp, psi
-
-
-def _solve_law_transport(atom_map: SampledMap, target: DiscreteMeasure):
-    cost = build_cost(atom_map, target)
-    return solve_mk(cost, atom_map.domain, target)
 
 
 def _refine_split_sites(plan, target: DiscreteMeasure, split, best_row):

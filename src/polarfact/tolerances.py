@@ -1,0 +1,44 @@
+"""The tolerance policy: every threshold a result is compared against.
+
+Predicates are written ``value <= bound``, so a NaN never passes.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .errors import UnequalMassError
+
+RTOL = 1e-9  # relative: masses, duality gaps, objective values
+EXACT_RTOL = 1e-12  # relative: masses that only rounding may separate
+DEFAULT_TOL = 1e-8  # absolute: Fenchel gaps, the conjugate identity, zero reduced costs
+DOMINANT_FRACTION = 1.0 - RTOL  # share of its row's or site's mass a dominant cell carries
+
+
+def masses_close(a: float, b: float, rtol: float = RTOL) -> bool:
+    return abs(a - b) <= rtol * max(1.0, abs(a), abs(b))
+
+
+def check_balanced(total_a: float, total_b: float, rtol: float = RTOL) -> None:
+    if not masses_close(total_a, total_b, rtol):
+        raise UnequalMassError(f"total masses differ: {total_a!r} vs {total_b!r}")
+
+
+def gap_vanishes(gap: float, value: float) -> bool:
+    """True when a gap is zero relative to the value it was taken from."""
+    return abs(gap) <= RTOL * (1.0 + abs(value))
+
+
+def dominant(mass, total):
+    return mass >= DOMINANT_FRACTION * total
+
+
+def solver_tol(C: np.ndarray) -> float:
+    """The simplex prices a cell as improving below ``-tol``, and
+    strictification treats a slack ``<= tol`` as zero."""
+    return 1e-11 * max(1.0, float(np.max(np.abs(C)))) if C.size else 1e-11
+
+
+def degeneracy_scale(a: np.ndarray) -> float:
+    """A pivot step ``<=`` this is degenerate; long runs switch to Bland's rule."""
+    return 1e-14 * max(1.0, float(np.max(a, initial=0.0)))

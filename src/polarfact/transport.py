@@ -47,9 +47,17 @@ from .errors import (
     MarginalMismatchError,
     NumericalFailureError,
     OracleScopeExceededError,
-    UnequalMassError,
 )
-from .measures import MASS_RTOL, DiscreteMeasure, SampledMap
+from .measures import DiscreteMeasure, SampledMap
+from .tolerances import (
+    EXACT_RTOL,
+    RTOL,
+    check_balanced,
+    degeneracy_scale,
+    gap_vanishes,
+    masses_close,
+    solver_tol,
+)
 
 _log = logging.getLogger("polarfact")
 
@@ -114,16 +122,24 @@ class TransportPlan:
     def col_sums(self) -> np.ndarray:
         return np.bincount(self.cols, weights=self.masses, minlength=self.nu.size)
 
-    def validate(self, rtol: float = MASS_RTOL) -> None:
-        """Check both marginals against the declared measures."""
+    def validate(self) -> None:
+        """Check the indices and both marginals against the declared measures."""
         if self.n_triplets and np.any(self.masses <= 0):
             raise MarginalMismatchError("plan masses must be > 0")
         if not np.all(np.isfinite(self.masses)):
             raise MarginalMismatchError("plan masses must be finite")
+        for side, index, n in (("row", self.rows, self.mu.size),
+                               ("column", self.cols, self.nu.size)):
+            bad = np.flatnonzero((index < 0) | (index >= n))
+            if bad.size:
+                raise MarginalMismatchError(
+                    f"{side} index {int(index[bad[0]])} of triplet {int(bad[0])} "
+                    f"is outside [0, {n})"
+                )
         scale = max(1.0, self.mu.total_mass)
-        if np.max(np.abs(self.row_sums() - self.mu.weights), initial=0.0) > rtol * scale:
+        if not np.max(np.abs(self.row_sums() - self.mu.weights), initial=0.0) <= RTOL * scale:
             raise MarginalMismatchError("row sums do not match the source weights")
-        if np.max(np.abs(self.col_sums() - self.nu.weights), initial=0.0) > rtol * scale:
+        if not np.max(np.abs(self.col_sums() - self.nu.weights), initial=0.0) <= RTOL * scale:
             raise MarginalMismatchError("column sums do not match the target weights")
 
     def support_per_row(self) -> np.ndarray:
@@ -181,9 +197,7 @@ def build_cost(u: SampledMap, Y: DiscreteMeasure) -> CostMatrix:
         raise DimensionMismatchError(
             f"map codomain {u.codomain_dimension} vs target dimension {Y.coords.shape[1]}"
         )
-    mu_total, nu_total = u.domain.total_mass, Y.total_mass
-    if abs(mu_total - nu_total) > MASS_RTOL * max(1.0, mu_total, nu_total):
-        raise UnequalMassError(f"total masses differ: {mu_total!r} vs {nu_total!r}")
+    check_balanced(u.domain.total_mass, Y.total_mass)
     entries = _pairwise_cost_blocked(u.values, Y.coords)
     order = None
     if Y.coords.shape[1] == 1:
@@ -364,7 +378,7 @@ class _Simplex:
         self.pot = np.zeros(self.m + self.n)
         self.alpha = self.pot[: self.m]
         self.beta = self.pot[self.m :]
-        self.tol = 1e-11 * max(1.0, float(np.max(np.abs(C)))) if C.size else 1e-11
+        self.tol = solver_tol(C)
         self.degenerate_pivots = 0
         self.bland_switches = 0
         # pricing writes the reduced costs into one buffer through views
@@ -585,7 +599,7 @@ class _Simplex:
         bland = False
         degenerate_run = 0
         bland_trigger = 3 * (self.m + self.n) + 50
-        degeneracy_scale = 1e-14 * max(1.0, float(np.max(self.a, initial=0.0)))
+        degenerate_step = degeneracy_scale(self.a)
         hard_cap = 200 * (self.m + self.n) + 2 * self.m * self.n + 10_000
         pivots = 0
         while True:
@@ -600,7 +614,7 @@ class _Simplex:
             theta = self._pivot(*cell)
             fresh = False
             pivots += 1
-            if theta <= degeneracy_scale:
+            if theta <= degenerate_step:
                 self.degenerate_pivots += 1
                 degenerate_run += 1
                 if degenerate_run > bland_trigger and not bland:
@@ -658,9 +672,7 @@ def solve_mk(cost: CostMatrix, mu: DiscreteMeasure, nu: DiscreteMeasure):
     """
     if not (_measures_agree(mu, cost.mu) and _measures_agree(nu, cost.nu)):
         raise MarginalMismatchError("measures do not match the cost matrix")
-    total_mu, total_nu = mu.total_mass, nu.total_mass
-    if abs(total_mu - total_nu) > MASS_RTOL * max(1.0, total_mu, total_nu):
-        raise UnequalMassError(f"total masses differ: {total_mu!r} vs {total_nu!r}")
+    check_balanced(mu.total_mass, nu.total_mass)
     sx = _Simplex(cost.entries, mu.weights, nu.weights)
     pivots = sx.solve(cost.order)
     _log.debug(
@@ -678,7 +690,7 @@ def solve_mk(cost: CostMatrix, mu: DiscreteMeasure, nu: DiscreteMeasure):
     )
     duals = DualPair(alpha, beta, cost)
     cert = duality_certificate(plan, duals, cost)
-    if abs(cert["gap"]) > MASS_RTOL * (1.0 + abs(cert["I"])):
+    if not gap_vanishes(cert["gap"], cert["I"]):
         raise NumericalFailureError(f"duality gap {cert['gap']!r} exceeds tolerance")
     return plan, duals
 
@@ -694,9 +706,10 @@ def brute_force_mk(cost: CostMatrix, mu: DiscreteMeasure, nu: DiscreteMeasure) -
         raise OracleScopeExceededError(f"oracle limited to square instances <= 8, got {m}x{n}")
     w = mu.weights
     v = nu.weights
-    if not (np.allclose(w, w[0], rtol=1e-12, atol=0) and np.allclose(v, v[0], rtol=1e-12, atol=0)):
+    if not (np.allclose(w, w[0], rtol=EXACT_RTOL, atol=0)
+            and np.allclose(v, v[0], rtol=EXACT_RTOL, atol=0)):
         raise OracleScopeExceededError("oracle requires uniform weights on both sides")
-    if abs(w[0] - v[0]) > 1e-12 * max(1.0, abs(w[0])):
+    if not masses_close(w[0], v[0], EXACT_RTOL):
         raise OracleScopeExceededError("oracle requires equal uniform weights")
     perms = np.array(list(permutations(range(n))), dtype=int)
     totals = cost.entries[np.arange(n)[None, :], perms].sum(axis=1)
@@ -738,9 +751,7 @@ def _northwest_cells(a: np.ndarray, b: np.ndarray):
 
 def random_plan(mu: DiscreteMeasure, nu: DiscreteMeasure, seed: int) -> TransportPlan:
     """Feasible plan from a north-west fill over seeded shuffled index orders."""
-    total_mu, total_nu = mu.total_mass, nu.total_mass
-    if abs(total_mu - total_nu) > MASS_RTOL * max(1.0, total_mu, total_nu):
-        raise UnequalMassError(f"total masses differ: {total_mu!r} vs {total_nu!r}")
+    check_balanced(mu.total_mass, nu.total_mass)
     rng = np.random.default_rng(seed)
     rp = rng.permutation(mu.size)
     cp = rng.permutation(nu.size)

@@ -17,12 +17,12 @@ from polarfact.measures import (
     SampledMap,
     ValueLaw,
     _lex_order,
-    _masses_close,
     _snap,
     equimeasurable,
     value_law,
 )
 from polarfact.rearrangement import HeavyAtoms, RefinedDomain, construct_m_to_1
+from polarfact.tolerances import masses_close
 from polarfact.transport import TransportPlan
 
 CLUSTER_TOLS = (0.0, 1e-3, 0.5)
@@ -61,7 +61,7 @@ def reference_matches(a, b, mass_rtol=1e-9):
     if not np.array_equal(_snap(a.values, tol), _snap(b.values, tol)):
         return False
     return all(
-        _masses_close(float(x), float(y), mass_rtol) for x, y in zip(a.masses, b.masses)
+        masses_close(float(x), float(y), mass_rtol) for x, y in zip(a.masses, b.masses)
     )
 
 

@@ -100,6 +100,21 @@ class TestSolve:
         assert main(["solve", "--u", str(u_path), "--Y", str(y_path), "--out", str(out)]) == 0
         assert json.loads(out.read_text())["certificate"]["I"] == 0.0
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [("", "CSV header must be label,coord_1,...,coord_n,weight; got []"),
+         ("label,coord_1,weight\ny0,0.5\ny1,1.0,0.5\n", "line 2 has 2 fields, the header has 3")],
+        ids=["empty", "short-row"],
+    )
+    def test_malformed_csv_measure_exits_2(self, tmp_path, capsys, text, message):
+        u_path = tmp_path / "u.json"
+        write(u_path, json.dumps({"measure": measure_doc([0.5, 0.5], prefix="x"),
+                                  "values": [[0.0], [1.0]]}))
+        y_path = tmp_path / "Y.csv"
+        write(y_path, text)
+        assert main(["solve", "--u", str(u_path), "--Y", str(y_path)]) == 2
+        assert capsys.readouterr().err == f"error: {y_path}: {message}\n"
+
     def test_byte_identical_reruns(self, paired_instance, tmp_path):
         u_path, y_path = paired_instance
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -331,6 +346,32 @@ class TestVerify:
         assert code in (2, 4, 5)
         assert code != 0
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [("i", 5, "row index 5 of triplet 0 is outside [0, 2)"),
+         ("i", -1, "row index -1 of triplet 0 is outside [0, 2)"),
+         ("j", -1, "column index -1 of triplet 0 is outside [0, 2)"),
+         ("i", 1.5, "plan index 'i' must be an integer, got 1.5"),
+         ("j", True, "plan index 'j' must be an integer, got True")],
+        ids=["row-too-large", "row-negative", "column-negative", "row-fraction", "column-bool"],
+    )
+    def test_bad_plan_index_exits_2(self, tmp_path, capsys, key, value, message):
+        u_path, y_path = tmp_path / "u.json", tmp_path / "Y.json"
+        write(u_path, json.dumps({"measure": measure_doc([0.5, 0.5], prefix="x"),
+                                  "values": [[0.0], [1.0]]}))
+        write(y_path, json.dumps(measure_doc([0.5, 0.5], [[0.0], [1.0]])))
+        result = tmp_path / "result.json"
+        assert main(["factorize", "--u", str(u_path), "--Y", str(y_path),
+                     "--out", str(result)]) == 0
+        doc = json.loads(result.read_text())
+        doc["plan"]["triplets"][0][key] = value
+        plan_path = tmp_path / "plan.json"
+        write(plan_path, json.dumps(doc["plan"]))
+        capsys.readouterr()
+        assert main(["verify", "--u", str(u_path), "--Y", str(y_path),
+                     "--plan", str(plan_path), "--psi", str(result)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_env_tolerance_override(self, tmp_path, monkeypatch):
         # duplicated site: raising psi at one copy creates a gap equal to
         # the perturbation, here between the 1e-8 default and the env value
@@ -417,7 +458,7 @@ class TestValidation:
 
     def test_tol_help_names_the_library_default(self, capsys):
         with pytest.raises(SystemExit):
-            main(["solve", "--help"])
+            main(["factorize", "--help"])
         help_text = " ".join(capsys.readouterr().out.split())
         assert f"(default {DEFAULT_TOL:g}, env POLARFACT_TOL)" in help_text
 
@@ -461,6 +502,35 @@ class TestValidation:
                      "--out", str(tmp_path)]) == 0
         assert seen == ["flat-segment"]
         assert not (tmp_path / "report.json").exists()
+
+
+class TestFlags:
+    """Each command takes only the flags its handler reads."""
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("solve", ["--seed", "1"]), ("solve", ["--tol", "1e-3"]),
+         ("factorize", ["--cluster-tol", "0"]), ("monotone", ["--tol", "1e-3"]),
+         ("rearrange", ["--seed", "2"]), ("verify", ["--cluster-tol", "0"])],
+    )
+    def test_flag_of_another_command_exits_2(self, paired_instance, capsys, command, flag):
+        u_path, y_path = paired_instance
+        rest = {"rearrange": ["--m", "2"],
+                "verify": ["--Y", y_path, "--plan", y_path, "--psi", y_path]}
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--u", u_path, *rest.get(command, ["--Y", y_path]), *flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+    def test_gallery_takes_seed_and_both_tolerances(self, tmp_path):
+        assert main(["gallery", "--name", "injective-control", "--grid", "4", "--seed", "3",
+                     "--tol", "1e-8", "--cluster-tol", "0", "--out", str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize("command", ["solve", "monotone"])
+    def test_env_tol_ignored_without_tol_flag(self, paired_instance, monkeypatch, command):
+        u_path, y_path = paired_instance
+        monkeypatch.setenv("POLARFACT_TOL", "inf")
+        assert main([command, "--u", u_path, "--Y", y_path]) == 0
 
 
 class TestFormats:

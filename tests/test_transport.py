@@ -160,6 +160,21 @@ class TestPlanValidate:
         with pytest.raises(MarginalMismatchError, match="> 0"):
             plan.validate()
 
+    @pytest.mark.parametrize(
+        "rows, cols, message",
+        [([0, 2], [0, 1], "row index 2 of triplet 1 is outside [0, 2)"),
+         ([-1, 1], [0, 1], "row index -1 of triplet 0 is outside [0, 2)"),
+         ([0, 1], [0, -1], "column index -1 of triplet 1 is outside [0, 2)")],
+        ids=["row-too-large", "row-negative", "column-negative"],
+    )
+    def test_out_of_range_index_rejected(self, rows, cols, message):
+        # objective would wrap a negative index to the last site
+        X, Y = uniform(2), line_sites([0.0, 1.0])
+        plan = TransportPlan(rows, cols, [0.5, 0.5], X, Y)
+        with pytest.raises(MarginalMismatchError) as exc:
+            plan.validate()
+        assert str(exc.value) == message
+
 
 class TestBruteForce:
     def test_single_cell(self):
