@@ -81,6 +81,25 @@ def load_json(path: str):
         return json.load(fh)
 
 
+def _number(value, what: str) -> float:
+    """A JSON number as a float; booleans and numeric strings are refused."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _numbers(value, what: str) -> np.ndarray:
+    """Nested lists of JSON numbers as a float array."""
+    stack = [value]
+    while stack:
+        item = stack.pop()
+        if type(item) is list:
+            stack.extend(item)
+        else:
+            _number(item, what)
+    return np.asarray(value, dtype=float)
+
+
 # ---------------------------------------------------------------------------
 # measures and maps
 # ---------------------------------------------------------------------------
@@ -105,14 +124,14 @@ def measure_from_dict(doc: dict) -> DiscreteMeasure:
     labels, weights, coords = [], [], []
     for pt in doc["points"]:
         labels.append(str(pt["label"]))
-        weights.append(float(pt["weight"]))
+        weights.append(_number(pt["weight"], "weight"))
         coords.append(pt.get("coords"))
     has_coords = any(c is not None for c in coords)
     arr = None
     if has_coords:
         if any(c is None for c in coords):
             raise DimensionMismatchError("mixed coordinate and coordinate-free points")
-        arr = np.asarray(coords, dtype=float)
+        arr = _numbers(coords, "coordinate")
         if dim != ABSTRACT and arr.shape[1] != int(dim):
             raise DimensionMismatchError(
                 f"declared dimension {dim} but points have {arr.shape[1]} coordinates"
@@ -177,7 +196,7 @@ def sampled_map_from_dict(doc: dict, base_dir: str = ".") -> SampledMap:
         measure = read_measure(os.path.join(base_dir, ref))
     else:
         measure = measure_from_dict(ref)
-    return SampledMap(measure, np.asarray(doc["values"], dtype=float))
+    return SampledMap(measure, _numbers(doc["values"], "map value"))
 
 
 def read_sampled_map(path: str) -> SampledMap:
@@ -194,7 +213,7 @@ def read_potential(path: str, support: DiscreteMeasure) -> ConvexPotential:
         doc = doc.get("psi")
     if doc is None:
         raise ValueError("potential file holds neither an array nor a 'psi' field")
-    return ConvexPotential(support, np.asarray(doc, dtype=float))
+    return ConvexPotential(support, _numbers(doc, "psi"))
 
 
 def plan_to_dict(plan: TransportPlan, certificate: dict | None = None) -> dict:
@@ -221,7 +240,7 @@ def read_plan(path: str, mu: DiscreteMeasure, nu: DiscreteMeasure) -> TransportP
     trip = doc["triplets"]
     rows = np.array([_plan_index(t, "i") for t in trip], dtype=int)
     cols = np.array([_plan_index(t, "j") for t in trip], dtype=int)
-    masses = np.array([float(t["mass"]) for t in trip], dtype=float)
+    masses = np.array([_number(t["mass"], "plan mass") for t in trip], dtype=float)
     return TransportPlan(rows, cols, masses, mu, nu)
 
 
@@ -238,10 +257,10 @@ def read_heavy(path: str) -> HeavyAtoms:
         values, tol = doc, 0.0
     else:
         values = doc.get("values", [])
-        tol = float(doc.get("match_tolerance", 0.0))
+        tol = _number(doc.get("match_tolerance", 0.0), "match_tolerance")
     if not values:
         return HeavyAtoms.none()
-    return HeavyAtoms(np.asarray(values, dtype=float), tol)
+    return HeavyAtoms(_numbers(values, "heavy value"), tol)
 
 
 def heavy_to_dict(heavy: HeavyAtoms) -> dict:

@@ -38,7 +38,3 @@ def solver_tol(C: np.ndarray) -> float:
     strictification treats a slack ``<= tol`` as zero."""
     return 1e-11 * max(1.0, float(np.max(np.abs(C)))) if C.size else 1e-11
 
-
-def degeneracy_scale(a: np.ndarray) -> float:
-    """A pivot step ``<=`` this is degenerate; long runs switch to Bland's rule."""
-    return 1e-14 * max(1.0, float(np.max(a, initial=0.0)))

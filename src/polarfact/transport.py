@@ -3,10 +3,12 @@
 The solver is a transportation simplex on the dense cost matrix: it keeps a
 spanning-tree basis of |X| + |Y| - 1 cells, prices all cells against duals
 propagated through the tree, and pivots until no reduced cost is negative.
-Entering cells are chosen by the most-negative rule with lexicographic
-tie-breaking; long runs of degenerate pivots switch to Bland's rule (first
-negative cell in lexicographic order), which cannot cycle.  Every choice is
-a deterministic function of the input, so identical instances produce
+The entering cell has the most negative reduced cost.  Every basis tree
+is strongly feasible (Cunningham 1976; Ahuja, Magnanti & Orlin 1993,
+ch. 11): each zero-flow basic cell joins a row to its parent column.  Both
+starts break exact ties as the perturbed problem does, and each pivot
+keeps the property, so the simplex cannot cycle.  Every choice is a
+deterministic function of the input, so identical instances produce
 bit-identical plans and duals.
 
 The basis tree is stored as parent, depth and child indices rooted at the
@@ -24,8 +26,8 @@ sorted points is a Monge array, so that staircase is an optimal basis
 (Hoffman 1963) and its duals price every cell non-negative.  Pricing still
 certifies it, and a reduced cost that rounding leaves below the tolerance
 is pivoted away as usual.  Other instances start from the row-minimum
-basis.  Pivot counts, degenerate pivots, switches to Bland's rule and the
-start used are logged at DEBUG level on the ``polarfact`` logger.
+basis.  Pivot counts, degenerate pivots (step exactly zero) and the start
+used are logged at DEBUG level on the ``polarfact`` logger.
 
 Duals are rooted at the first target site (phi(y_1) = 0) and recomputed
 exactly from the final tree, so complementary slackness holds to float
@@ -53,7 +55,6 @@ from .tolerances import (
     EXACT_RTOL,
     RTOL,
     check_balanced,
-    degeneracy_scale,
     gap_vanishes,
     masses_close,
     solver_tol,
@@ -128,6 +129,15 @@ class TransportPlan:
             raise MarginalMismatchError("plan masses must be > 0")
         if not np.all(np.isfinite(self.masses)):
             raise MarginalMismatchError("plan masses must be finite")
+        self._check_indices()
+        scale = max(1.0, self.mu.total_mass)
+        if not np.max(np.abs(self.row_sums() - self.mu.weights), initial=0.0) <= RTOL * scale:
+            raise MarginalMismatchError("row sums do not match the source weights")
+        if not np.max(np.abs(self.col_sums() - self.nu.weights), initial=0.0) <= RTOL * scale:
+            raise MarginalMismatchError("column sums do not match the target weights")
+
+    def _check_indices(self) -> None:
+        """Raise unless every row and column index lies inside its measure."""
         for side, index, n in (("row", self.rows, self.mu.size),
                                ("column", self.cols, self.nu.size)):
             bad = np.flatnonzero((index < 0) | (index >= n))
@@ -136,11 +146,6 @@ class TransportPlan:
                     f"{side} index {int(index[bad[0]])} of triplet {int(bad[0])} "
                     f"is outside [0, {n})"
                 )
-        scale = max(1.0, self.mu.total_mass)
-        if not np.max(np.abs(self.row_sums() - self.mu.weights), initial=0.0) <= RTOL * scale:
-            raise MarginalMismatchError("row sums do not match the source weights")
-        if not np.max(np.abs(self.col_sums() - self.nu.weights), initial=0.0) <= RTOL * scale:
-            raise MarginalMismatchError("column sums do not match the target weights")
 
     def support_per_row(self) -> np.ndarray:
         return np.bincount(self.rows, minlength=self.mu.size)
@@ -212,6 +217,7 @@ def objective(plan: TransportPlan, cost: CostMatrix) -> float:
     """I(plan) = sum of mass * cost over the plan's triplets."""
     if not (_measures_agree(plan.mu, cost.mu) and _measures_agree(plan.nu, cost.nu)):
         raise MarginalMismatchError("plan marginals do not reference the cost's measures")
+    plan._check_indices()  # a negative index would wrap to the last site
     if plan.n_triplets == 0:
         return 0.0
     return float(np.dot(plan.masses, cost.entries[plan.rows, plan.cols]))
@@ -380,7 +386,6 @@ class _Simplex:
         self.beta = self.pot[self.m :]
         self.tol = solver_tol(C)
         self.degenerate_pivots = 0
-        self.bland_switches = 0
         # pricing writes the reduced costs into one buffer through views
         # made once here, and a pivot shifts duals item by item through a
         # memoryview of pot
@@ -400,12 +405,17 @@ class _Simplex:
         """Row-minimum start: each row fills its cheapest active columns.
 
         Every allocation crosses out exactly one line, so the m+n-1 chosen
-        cells are acyclic and span all rows and columns.  Returns them as
-        (row, column, mass) triplets.
+        cells are acyclic and span all rows and columns.  Residuals compare
+        as (value, eps-count) of the perturbed supplies a_i + eps and
+        demands b_j - eps, b_0 + (m+n-1) eps, so the tree is strongly
+        feasible.  Returns the cells as (row, column, mass) triplets.
         """
         edges = []
         ra = self.a.tolist()
         rb = self.b.tolist()
+        ea = [1] * self.m
+        eb = [-1] * self.n
+        eb[0] = self.m + self.n - 1
         # 0 on active columns and +inf on crossed-out ones: added to a row
         # of finite costs, its argmin is the cheapest active column
         closed = np.zeros(self.n)
@@ -427,17 +437,18 @@ class _Simplex:
                     edges.append((i, j, max(ra[i], 0.0)))
                     return edges
                 t = min(ra[i], rb[j])
-                if rb[j] < ra[i] and n_active > 1:
+                if (rb[j], eb[j]) < (ra[i], ea[i]) and n_active > 1:
                     edges.append((i, j, t))
                     ra[i] -= t
+                    ea[i] -= eb[j]
                     rb[j] = 0.0
                     closed[j] = np.inf
                     n_active -= 1
                 else:
-                    # row exhausted (ties also close the row; the column
-                    # stays active and receives a zero basic cell later)
+                    # row exhausted; the column stays active
                     edges.append((i, j, t))
                     rb[j] -= t
+                    eb[j] -= ea[i]
                     ra[i] = 0.0
                     break
         return edges
@@ -486,20 +497,15 @@ class _Simplex:
         self.pot[:] = pot
 
     # -- pivoting ----------------------------------------------------------------
-    def _entering(self, bland: bool):
-        """Price every cell against the current duals and return the
-        entering cell, or None when no reduced cost is below -tol.  The
+    def _entering(self):
+        """Price every cell against the current duals and return the one
+        with the most negative reduced cost (the first in row-major order
+        among ties), or None when no reduced cost is below -tol.  The
         entering cell's reduced cost is kept for ``_pivot``."""
         reduced, flat = self._reduced, self._reduced_flat
         np.subtract(self.C, self._alpha_col, out=reduced)
         np.subtract(reduced, self._beta_row, out=reduced)
-        if bland:
-            hit = np.flatnonzero(flat < -self.tol)
-            if hit.size == 0:
-                return None
-            k = int(hit[0])
-        else:
-            k = int(flat.argmin())
+        k = int(flat.argmin())
         cost = flat.item(k)
         if cost >= -self.tol:
             return None
@@ -512,8 +518,8 @@ class _Simplex:
         m = self.m
         parent, depth, children, flow = self.parent, self.depth, self.children, self.flow
         # the cycle closed by (ei, ej) is the tree path between its ends:
-        # climb both to their lowest common ancestor, listing each node
-        # passed for the cell joining it to its parent.  Rows and columns
+        # climb both to their lowest common ancestor, the apex, listing each
+        # node passed for the cell joining it to its parent.  Rows and columns
         # alternate on each side, and the cells that lose mass are those of
         # every other node from ei and from column ej, both included.
         u, v = ei, m + ej
@@ -532,15 +538,13 @@ class _Simplex:
             u = parent[u]
             vp.append(v)
             v = parent[v]
-        minus = up[::2] + vp[::2]
+        # minus cells in the order met walking from the apex down to ei,
+        # across (ei, ej) and up from ej; the last at theta leaves, which
+        # keeps the tree strongly feasible (Cunningham's rule)
+        minus = up[::2][::-1] + vp[::2]
         flows = [flow[w] for w in minus]
         theta = min(flows)
-        if flows.count(theta) == 1:
-            q = minus[flows.index(theta)]
-        else:
-            # each row of the cycle has one cell that loses mass, so the
-            # lexicographically first tied cell is the one with the least row
-            _, q = min((w if w < m else parent[w], w) for w, f in zip(minus, flows) if f == theta)
+        q = minus[len(flows) - 1 - flows[::-1].index(theta)]
         if theta:  # a degenerate pivot moves no mass
             for w in up[1::2] + vp[1::2]:
                 flow[w] += theta
@@ -591,19 +595,16 @@ class _Simplex:
         else:
             # the m+n-1 staircase cells, zero cells kept, span all nodes
             rows, cols = order[0].tolist(), order[1].tolist()
-            cells = _northwest_cells(self.a[order[0]], self.b[order[1]])
+            cells = _northwest_cells(self.a[order[0]], self.b[order[1]], cols.index(0))
             start = [(rows[i], cols[j], t) for i, j, t in cells]
         self._build_tree(start)
         self._recompute_duals()
         fresh = True  # the duals are a recompute from the current tree
-        bland = False
-        degenerate_run = 0
-        bland_trigger = 3 * (self.m + self.n) + 50
-        degenerate_step = degeneracy_scale(self.a)
+        # the cap and the re-pricing below guard against float drift
         hard_cap = 200 * (self.m + self.n) + 2 * self.m * self.n + 10_000
         pivots = 0
         while True:
-            cell = self._entering(bland)
+            cell = self._entering()
             if cell is None:
                 if fresh:
                     return pivots
@@ -611,18 +612,10 @@ class _Simplex:
                 self._recompute_duals()
                 fresh = True
                 continue
-            theta = self._pivot(*cell)
+            if self._pivot(*cell) == 0.0:
+                self.degenerate_pivots += 1
             fresh = False
             pivots += 1
-            if theta <= degenerate_step:
-                self.degenerate_pivots += 1
-                degenerate_run += 1
-                if degenerate_run > bland_trigger and not bland:
-                    bland = True
-                    self.bland_switches += 1
-            else:
-                degenerate_run = 0
-                bland = False
             if pivots > hard_cap:
                 raise NumericalFailureError(f"pivot safeguard exceeded after {pivots} pivots")
 
@@ -676,8 +669,8 @@ def solve_mk(cost: CostMatrix, mu: DiscreteMeasure, nu: DiscreteMeasure):
     sx = _Simplex(cost.entries, mu.weights, nu.weights)
     pivots = sx.solve(cost.order)
     _log.debug(
-        "solve_mk %dx%d: %d pivots, %d degenerate, %d Bland switches from the %s start",
-        sx.m, sx.n, pivots, sx.degenerate_pivots, sx.bland_switches,
+        "solve_mk %dx%d: %d pivots (%d degenerate) from the %s start",
+        sx.m, sx.n, pivots, sx.degenerate_pivots,
         "row-minimum" if cost.order is None else "north-west corner on sorted supports",
     )
     rows, cols, masses = sx.plan_triplets()
@@ -728,7 +721,10 @@ def shifted_objective(plan: TransportPlan, psi: ConvexPotential, u: SampledMap) 
     return float(np.dot(plan.masses, gaps))
 
 
-def _northwest_cells(a: np.ndarray, b: np.ndarray):
+def _northwest_cells(a: np.ndarray, b: np.ndarray, root: int):
+    """North-west corner cells (i, j, mass), zero cells kept.  A row and a
+    column that run out together advance the column before position
+    ``root`` of column 0 and the row from there on: a strongly feasible tree."""
     m, n = a.shape[0], b.shape[0]
     ra, rb = np.asarray(a, dtype=float).tolist(), np.asarray(b, dtype=float).tolist()
     i = j = 0
@@ -740,7 +736,7 @@ def _northwest_cells(a: np.ndarray, b: np.ndarray):
         rb[j] -= t
         if i == m - 1 and j == n - 1:
             break
-        if ra[i] <= rb[j] and i < m - 1:
+        if i < m - 1 and (ra[i] < rb[j] or (ra[i] == rb[j] and j >= root)):
             i += 1
         elif j < n - 1:
             j += 1
@@ -755,7 +751,7 @@ def random_plan(mu: DiscreteMeasure, nu: DiscreteMeasure, seed: int) -> Transpor
     rng = np.random.default_rng(seed)
     rp = rng.permutation(mu.size)
     cp = rng.permutation(nu.size)
-    cells = _northwest_cells(mu.weights[rp], nu.weights[cp])
+    cells = _northwest_cells(mu.weights[rp], nu.weights[cp], int(np.argmin(cp)))
     rows = np.array([int(rp[i]) for i, _, t in cells if t > 0], dtype=int)
     cols = np.array([int(cp[j]) for _, j, t in cells if t > 0], dtype=int)
     masses = np.array([t for _, _, t in cells if t > 0])

@@ -324,7 +324,11 @@ class TestVerify:
         u_path, y_path, result = self._solved_files(tmp_path)
         doc = json.loads(open(result).read())
         psi = doc["psi"]
-        psi[0] += 0.1
+        # psi[0] keeps the inclusion while it rises by less than the slack of
+        # site 0; with x' sent to y_0, any support pair (x, y_k), k != 0, of an
+        # optimal psi bounds that slack by (u(x) - u(x')) (y_k - y_0)
+        u, Y = io.read_sampled_map(u_path), io.read_measure(y_path)
+        psi[0] += 1.0 + np.ptp(u.values) * np.ptp(Y.coords)
         psi_path = tmp_path / "psi.json"
         write(psi_path, json.dumps(psi))
         code = main(["verify", "--u", u_path, "--Y", y_path,
@@ -550,3 +554,61 @@ class TestFormats:
         doc = {"x": w}
         text = io.dumps(doc)
         assert json.loads(text)["x"] == w
+
+
+class TestJsonNumbers:
+    """A number field takes only JSON numbers: a boolean or a numeric
+    string there exits 2 rather than being read as a number."""
+
+    COMMANDS = {
+        "solve": ["solve", "--u", "{u}", "--Y", "{Y}"],
+        "verify": ["verify", "--u", "{u}", "--Y", "{Y}", "--plan", "{plan}", "--psi", "{psi}"],
+        "rearrange": ["rearrange", "--u", "{u}", "--m", "1", "--heavy", "{heavy}"],
+    }
+
+    @staticmethod
+    def one_point_files(tmp_path, key=None, where=(), bad=None):
+        """A one-point instance with its plan, psi and heavy atom, every
+        field a JSON number except ``bad`` at ``where`` in file ``key``."""
+        docs = {
+            "u": {"measure": measure_doc([1.0], prefix="x"), "values": [[0.25]]},
+            "Y": measure_doc([1.0], [[0.5]]),
+            "plan": {"triplets": [{"i": 0, "j": 0, "mass": 1.0}]},
+            "psi": [0.0],
+            "heavy": {"match_tolerance": 0.0, "values": [[0.25]]},
+        }
+        if key is not None:
+            doc = docs[key]
+            for step in where[:-1]:
+                doc = doc[step]
+            doc[where[-1]] = bad
+        paths = {}
+        for name, doc in docs.items():
+            paths[name] = str(tmp_path / f"{name}.json")
+            write(paths[name], json.dumps(doc))
+        return paths
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_numbers_are_accepted(self, tmp_path, capsys, command):
+        paths = self.one_point_files(tmp_path)
+        assert main([arg.format(**paths) for arg in self.COMMANDS[command]]) == 0
+
+    @pytest.mark.parametrize(
+        "command, key, where, bad",
+        [("solve", "Y", ("points", 0, "weight"), "1"),
+         ("solve", "Y", ("points", 0, "weight"), True),
+         ("solve", "Y", ("points", 0, "coords", 0), True),
+         ("solve", "u", ("values", 0, 0), "0.25"),
+         ("verify", "plan", ("triplets", 0, "mass"), True),
+         ("verify", "plan", ("triplets", 0, "mass"), "1"),
+         ("verify", "psi", (0,), "0"),
+         ("rearrange", "heavy", ("match_tolerance",), "0"),
+         ("rearrange", "heavy", ("values", 0, 0), "0.25")],
+        ids=["weight-string", "weight-bool", "coordinate-bool", "map-value-string",
+             "mass-bool", "mass-string", "psi-string", "match-tolerance-string",
+             "heavy-value-string"],
+    )
+    def test_non_number_exits_2(self, tmp_path, capsys, command, key, where, bad):
+        paths = self.one_point_files(tmp_path, key, where, bad)
+        assert main([arg.format(**paths) for arg in self.COMMANDS[command]]) == 2
+        assert f"must be a number, got {bad!r}" in capsys.readouterr().err

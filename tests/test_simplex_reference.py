@@ -1,13 +1,14 @@
 """The transportation simplex against the per-pivot code it replaced.
 
-``ReferenceSimplex`` keeps the earlier ``_initial_basis``, ``_entering``,
-``_pivot`` and ``_recompute_duals`` verbatim in behaviour: the start basis
-masked each row with ``np.where``, pricing built its broadcast views on
-every call, a pivot compared the cells of all minus nodes at theta and
-recomputed the entering cell's reduced cost, and the duals of the moved
-subtree were shifted through ``np.where``.  The current solver must take
-the same pivots and return bit-identical plans and duals on a seeded
-corpus.
+``ReferenceSimplex`` keeps the per-pivot style of the earlier
+``_initial_basis``, ``_entering``, ``_pivot`` and ``_recompute_duals``: the
+start basis masks each row with ``np.where``, pricing builds its broadcast
+views on every call, a pivot climbs both ends of the entering cell one
+node at a time, recomputes the entering cell's reduced cost and shifts the
+duals of the moved subtree through ``np.where``.  It breaks start ties as
+in the perturbed problem and lets Cunningham's leaving cell go, as the
+solver does.  The current solver must take the same pivots and return
+bit-identical plans and duals on a seeded corpus.
 """
 
 import functools
@@ -22,8 +23,8 @@ from polarfact.transport import _Simplex, build_cost, solve_mk
 
 
 class ReferenceSimplex(_Simplex):
-    """The earlier per-pivot code; counts pivots whose leaving cell was
-    chosen among two or more minus cells at theta."""
+    """The per-pivot code; counts pivots whose leaving cell was chosen
+    among two or more minus cells at theta."""
 
     tied_pivots = 0
 
@@ -31,6 +32,11 @@ class ReferenceSimplex(_Simplex):
         edges = []
         ra = self.a.copy()
         rb = self.b.copy()
+        # eps-counts of the perturbed supplies a_i + eps and demands b_j - eps,
+        # with b_0 + (m+n-1) eps balancing them at column 0
+        ea = np.ones(self.m, dtype=int)
+        eb = np.full(self.n, -1)
+        eb[0] = self.m + self.n - 1
         col_active = np.ones(self.n, dtype=bool)
         n_active = self.n
         for i in range(self.m):
@@ -50,15 +56,18 @@ class ReferenceSimplex(_Simplex):
                     edges.append((i, j, max(float(ra[i]), 0.0)))
                     return edges
                 t = float(min(ra[i], rb[j]))
-                if rb[j] < ra[i] and n_active > 1:
+                column_first = rb[j] < ra[i] or (rb[j] == ra[i] and eb[j] < ea[i])
+                if column_first and n_active > 1:
                     edges.append((i, j, t))
                     ra[i] -= t
+                    ea[i] -= eb[j]
                     rb[j] = 0.0
                     col_active[j] = False
                     n_active -= 1
                 else:
                     edges.append((i, j, t))
                     rb[j] -= t
+                    eb[j] -= ea[i]
                     ra[i] = 0.0
                     break
         return edges
@@ -76,20 +85,14 @@ class ReferenceSimplex(_Simplex):
                     beta[nxt - m] = C[node, nxt - m] - alpha[node]
                 stack.append(nxt)
 
-    def _entering(self, bland: bool):
+    def _entering(self):
         reduced = self._reduced
         np.subtract(self.C, self.alpha[:, None], out=reduced)
         np.subtract(reduced, self.beta[None, :], out=reduced)
         flat = reduced.ravel()
-        if bland:
-            hit = np.flatnonzero(flat < -self.tol)
-            if hit.size == 0:
-                return None
-            k = int(hit[0])
-        else:
-            k = int(np.argmin(flat))
-            if flat[k] >= -self.tol:
-                return None
+        k = int(np.argmin(flat))
+        if flat[k] >= -self.tol:
+            return None
         return divmod(k, self.n)
 
     def _pivot(self, ei: int, ej: int) -> float:
@@ -105,9 +108,14 @@ class ReferenceSimplex(_Simplex):
                 (minus if v >= m else plus).append(v)
                 v = parent[v]
         theta = min(map(flow.__getitem__, minus))
-        candidates = [(self._cell(w), w) for w in minus if flow[w] == theta]
-        self.tied_pivots += len(candidates) > 1
-        _, q = min(candidates)
+        # rows lose mass on the side of ei, columns on the side of ej; both
+        # lists run from the entering cell up to the apex
+        tied_rows = [w for w in minus if w < m and flow[w] == theta]
+        tied_cols = [w for w in minus if w >= m and flow[w] == theta]
+        self.tied_pivots += len(tied_rows) + len(tied_cols) > 1
+        # the last tied cell met walking from the apex down to ei, across
+        # (ei, ej) and up from ej
+        q = tied_cols[-1] if tied_cols else tied_rows[0]
         for w in plus:
             flow[w] += theta
         for w in minus:
@@ -137,16 +145,6 @@ class ReferenceSimplex(_Simplex):
         shift = delta if a == ei else -delta
         self.pot[moved] += np.where(moved < m, shift, -shift)
         return float(theta)
-
-
-def bland_only(cls):
-    """The same solver with Bland's rule from the first pivot on."""
-
-    class BlandOnly(cls):
-        def _entering(self, bland):
-            return super()._entering(True)
-
-    return BlandOnly
 
 
 # -- corpus ---------------------------------------------------------------------
@@ -208,7 +206,7 @@ def solved(cls, name):
     u, Y, cost = corpus_instance(name)
     sx = cls(cost.entries, u.domain.weights, Y.weights)
     pivots = sx.solve(cost.order)
-    counts = (pivots, sx.degenerate_pivots, sx.bland_switches)
+    counts = (pivots, sx.degenerate_pivots)
     state = (list(sx.parent), list(sx.depth), list(sx.flow), sx.pot.tobytes())
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(transport, "_Simplex", cls)
@@ -232,16 +230,9 @@ class TestSimplexReference:
     def test_same_pivots_plan_and_duals(self, name):
         assert_same_solve(solved(ReferenceSimplex, name), solved(_Simplex, name))
 
-    @pytest.mark.parametrize("name", ["uniform-3-20x20", "weighted-33-17x31",
-                                      "grid2-uniform-42-30x30", "gallery-m-to-1-flat-6"])
-    def test_same_pivots_under_blands_rule(self, name):
-        assert_same_solve(
-            solved(bland_only(ReferenceSimplex), name), solved(bland_only(_Simplex), name)
-        )
-
     def test_corpus_exercises_tied_leaving_cells(self):
-        # pivots whose theta is reached by two or more minus cells take the
-        # lexicographic branch of the leaving-cell choice
+        # pivots whose theta is reached by two or more minus cells choose
+        # the leaving cell by its place on the cycle
         for name in ("grid2-uniform-42-30x30", "gallery-m-to-1-flat-8"):
             assert solved(ReferenceSimplex, name)[3] > 0
 
