@@ -1,15 +1,15 @@
 """File formats: JSON documents for every artifact, CSV import for measures.
 
-All floats are written with 17 significant digits, which round-trips IEEE
-doubles exactly; documents are built with a fixed key order, so identical
-inputs produce byte-identical files.
+JSON goes through ``json.dumps`` and CSV through ``csv.DictWriter``; both
+write a float as its shortest repr, which reads back as the same IEEE double.
+Documents are built with a fixed key order, so identical inputs produce
+byte-identical files.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import math
 import os
 from io import StringIO
 
@@ -26,49 +26,16 @@ from .transport import TransportPlan
 # deterministic JSON with exact float round-trips
 # ---------------------------------------------------------------------------
 
-def _render(obj, out: list) -> None:
-    if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        if not math.isfinite(x):
-            raise ValueError(f"cannot serialise non-finite float {x!r}")
-        out.append(format(x, ".17g"))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, dict):
-        out.append("{")
-        for k, (key, val) in enumerate(obj.items()):
-            if k:
-                out.append(", ")
-            out.append(json.dumps(str(key)))
-            out.append(": ")
-            _render(val, out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        seq = obj.tolist() if isinstance(obj, np.ndarray) else obj
-        out.append("[")
-        for k, val in enumerate(seq):
-            if k:
-                out.append(", ")
-            _render(val, out)
-        out.append("]")
-    else:
-        raise TypeError(f"cannot serialise {type(obj).__name__}")
+def _plain(obj):
+    """numpy arrays and scalars as the Python values ``json`` can write."""
+    if isinstance(obj, (np.ndarray, np.integer, np.floating)):
+        return obj.tolist()
+    raise TypeError(f"cannot serialise {type(obj).__name__}")
 
 
 def dumps(obj) -> str:
     """Serialise to JSON text with exact float round-trips."""
-    out: list = []
-    _render(obj, out)
-    out.append("\n")
-    return "".join(out)
+    return json.dumps(obj, default=_plain, allow_nan=False) + "\n"
 
 
 def write_text(path: str, text: str) -> None:
@@ -121,18 +88,23 @@ def measure_from_dict(doc: dict) -> DiscreteMeasure:
     if not isinstance(doc, dict) or "points" not in doc:
         raise ValueError("measure document must be an object with a 'points' list")
     dim = doc.get("dimension", ABSTRACT)
+    if dim != ABSTRACT and type(dim) is not int:
+        raise ValueError(f"dimension must be an integer or {ABSTRACT!r}, got {dim!r}")
     labels, weights, coords = [], [], []
     for pt in doc["points"]:
         labels.append(str(pt["label"]))
         weights.append(_number(pt["weight"], "weight"))
-        coords.append(pt.get("coords"))
+        c = pt.get("coords")
+        if c is not None and type(c) is not list:
+            raise ValueError(f"coords must be a list of numbers, got {c!r}")
+        coords.append(c)
     has_coords = any(c is not None for c in coords)
     arr = None
     if has_coords:
         if any(c is None for c in coords):
             raise DimensionMismatchError("mixed coordinate and coordinate-free points")
         arr = _numbers(coords, "coordinate")
-        if dim != ABSTRACT and arr.shape[1] != int(dim):
+        if dim != ABSTRACT and arr.shape[1] != dim:
             raise DimensionMismatchError(
                 f"declared dimension {dim} but points have {arr.shape[1]} coordinates"
             )
@@ -255,6 +227,8 @@ def read_heavy(path: str) -> HeavyAtoms:
     doc = load_json(path)
     if isinstance(doc, list):
         values, tol = doc, 0.0
+    elif not isinstance(doc, dict):
+        raise ValueError(f"heavy file must hold a list or an object, got {doc!r}")
     else:
         values = doc.get("values", [])
         tol = _number(doc.get("match_tolerance", 0.0), "match_tolerance")
@@ -285,25 +259,16 @@ def multiplicity_report_to_dict(report: MultiplicityReport) -> dict:
 # ---------------------------------------------------------------------------
 
 def plan_to_csv(plan: TransportPlan) -> str:
-    buf = StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["i", "j", "mass"])
-    for i, j, t in plan.triplets:
-        writer.writerow([i, j, format(t, ".17g")])
-    return buf.getvalue()
+    return rows_to_csv(
+        [{"i": i, "j": j, "mass": t} for i, j, t in plan.triplets], ["i", "j", "mass"]
+    )
 
 
 def rows_to_csv(rows: list, columns: list) -> str:
     buf = StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow(
-            [
-                format(row[c], ".17g") if isinstance(row[c], float) else row[c]
-                for c in columns
-            ]
-        )
+    writer = csv.DictWriter(buf, columns, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
     return buf.getvalue()
 
 

@@ -131,6 +131,8 @@ class SampledMap:
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
+        if v.ndim not in (1, 2):
+            raise DimensionMismatchError(f"map values must be 1-D or 2-D, got {v.ndim}-D")
         if v.ndim == 1:
             v = v.reshape(-1, 1)
         object.__setattr__(self, "values", v)

@@ -221,12 +221,6 @@ class DegeneracyReport:
     split_index: float
     tol: float
 
-    def rows(self):
-        return [
-            {"row": i, "zero_reduced_cost_columns": int(c)}
-            for i, c in enumerate(self.zero_column_counts)
-        ]
-
 
 def degeneracy_report(
     plan: TransportPlan, duals: DualPair, cost: CostMatrix, tol: float = DEFAULT_TOL

@@ -612,3 +612,43 @@ class TestJsonNumbers:
         paths = self.one_point_files(tmp_path, key, where, bad)
         assert main([arg.format(**paths) for arg in self.COMMANDS[command]]) == 2
         assert f"must be a number, got {bad!r}" in capsys.readouterr().err
+
+
+class TestMalformedDocuments:
+    """A document of the wrong shape exits 2 with a message, not a traceback."""
+
+    solve = TestJsonNumbers.COMMANDS["solve"]
+    rearrange = TestJsonNumbers.COMMANDS["rearrange"]
+
+    @staticmethod
+    def run(tmp_path, argv, key, doc):
+        paths = TestJsonNumbers.one_point_files(tmp_path)
+        write(paths[key], json.dumps(doc))
+        return main([arg.format(**paths) for arg in argv])
+
+    @pytest.mark.parametrize("doc", [5, None, True], ids=["number", "null", "true"])
+    def test_heavy_file_neither_list_nor_object(self, tmp_path, capsys, doc):
+        assert self.run(tmp_path, self.rearrange, "heavy", doc) == 2
+        assert "heavy file must hold a list or an object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dimension", [1, None], ids=["declared", "undeclared"])
+    def test_coords_not_a_list(self, tmp_path, capsys, dimension):
+        doc = {"points": [{"label": "y0", "coords": 0.5, "weight": 1.0}]}
+        if dimension is not None:
+            doc["dimension"] = dimension
+        assert self.run(tmp_path, self.solve, "Y", doc) == 2
+        assert "coords must be a list of numbers, got 0.5" in capsys.readouterr().err
+
+    def test_map_values_not_an_array(self, tmp_path, capsys):
+        doc = {"measure": measure_doc([1.0], prefix="x"), "values": 3}
+        assert self.run(tmp_path, self.solve, "u", doc) == 2
+        assert "map values must be 1-D or 2-D, got 0-D" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dimension", [1.5, True, "1"], ids=["float", "bool", "string"])
+    def test_dimension_not_an_integer(self, tmp_path, capsys, dimension):
+        doc = measure_doc([1.0], [[0.5]])
+        doc["dimension"] = dimension
+        assert self.run(tmp_path, self.solve, "Y", doc) == 2
+        assert f"dimension must be an integer or 'abstract', got {dimension!r}" in (
+            capsys.readouterr().err
+        )
