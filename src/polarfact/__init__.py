@@ -12,7 +12,6 @@ from .measures import (
     SampledMap,
     ValueLaw,
     equimeasurable,
-    pushforward,
     validate,
     value_law,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "SampledMap",
     "ValueLaw",
     "equimeasurable",
-    "pushforward",
     "validate",
     "value_law",
     "CostMatrix",

@@ -192,7 +192,7 @@ def cmd_gallery(args: argparse.Namespace) -> int:
     u, Y, heavy = gallery_instance(args.name, args.grid, args.seed)
     result = polar_factorize(u, Y, args.tol)
     cost = build_cost(u, Y)
-    deg = degeneracy_report(result.plan, result.duals, cost, args.tol)
+    deg = degeneracy_report(result.plan, result.duals, cost)
     mult = multiplicity_report(u, heavy, args.cluster_tol)
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)

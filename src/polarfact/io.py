@@ -97,12 +97,22 @@ def measure_from_dict(doc: dict) -> DiscreteMeasure:
         c = pt.get("coords")
         if c is not None and type(c) is not list:
             raise ValueError(f"coords must be a list of numbers, got {c!r}")
+        if c is not None and (not c or any(type(x) is list for x in c)):
+            raise DimensionMismatchError(
+                f"point {labels[-1]!r}: coords must be a non-empty flat list, got {c!r}"
+            )
         coords.append(c)
     has_coords = any(c is not None for c in coords)
     arr = None
     if has_coords:
         if any(c is None for c in coords):
             raise DimensionMismatchError("mixed coordinate and coordinate-free points")
+        for label, c in zip(labels, coords):
+            if len(c) != len(coords[0]):
+                raise DimensionMismatchError(
+                    f"point {label!r} has {len(c)} coordinates, "
+                    f"point {labels[0]!r} has {len(coords[0])}"
+                )
         arr = _numbers(coords, "coordinate")
         if dim != ABSTRACT and arr.shape[1] != dim:
             raise DimensionMismatchError(

@@ -1,4 +1,4 @@
-"""Finite weighted point sets, pushforwards, value laws and equimeasurability.
+"""Finite weighted point sets, value laws and equimeasurability.
 
 A :class:`DiscreteMeasure` stands in for a finite measure space: a list of
 labelled sites, each with a strictly positive mass and (optionally) a
@@ -14,13 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    DuplicateLabelError,
-    NegativeWeightError,
-    UnknownLabelError,
-)
-from .tolerances import EXACT_RTOL, RTOL, check_balanced
+from .errors import DimensionMismatchError, DuplicateLabelError, NegativeWeightError
+from .tolerances import EXACT_RTOL, RTOL, check_balanced, masses_close
 
 ABSTRACT = "abstract"
 
@@ -188,9 +183,7 @@ class ValueLaw:
         b = _snap(other.values, tol)
         if not np.array_equal(a, b):
             return False
-        x, y = self.masses, other.masses
-        scale = np.maximum(1.0, np.maximum(np.abs(x), np.abs(y)))
-        return bool(np.all(np.abs(x - y) <= mass_rtol * scale))
+        return bool(np.all(masses_close(self.masses, other.masses, mass_rtol)))
 
 
 def _snap(values: np.ndarray, cluster_tol: float) -> np.ndarray:
@@ -274,31 +267,3 @@ def equimeasurable(f: SampledMap, g: SampledMap, cluster_tol: float = 0.0) -> bo
     check_balanced(f.domain.total_mass, g.domain.total_mass, EXACT_RTOL)
     return value_law(f, cluster_tol).matches(value_law(g, cluster_tol))
 
-
-def pushforward(
-    measure: DiscreteMeasure, assignment: dict, target: DiscreteMeasure
-) -> DiscreteMeasure:
-    """Image of ``measure`` under a label-to-label assignment into ``target``.
-
-    The result carries the hit target points only, each with the sum of the
-    incoming masses; compare it with ``target`` to test measure preservation.
-    Total mass is conserved exactly (fixed accumulation order).
-    """
-    incoming = np.zeros(target.size)
-    for label in measure.labels:
-        if label not in assignment:
-            raise UnknownLabelError(f"assignment is not total: {label!r} missing")
-    for i, label in enumerate(measure.labels):
-        t = assignment[label]
-        try:
-            j = target.index_of(t)
-        except KeyError:
-            raise UnknownLabelError(f"target label {t!r} not in target measure") from None
-        incoming[j] += measure.weights[i]
-    hit = np.nonzero(incoming > 0.0)[0]
-    coords = None if target.coords is None else target.coords[hit]
-    return DiscreteMeasure(
-        labels=tuple(target.labels[j] for j in hit),
-        weights=incoming[hit],
-        coords=coords,
-    )

@@ -23,11 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convex import ConvexPotential, DualPair, conjugate_many, fenchel_gap_many
+from .convex import ConvexPotential, DualPair, conjugate_many
 from .errors import (
     CertificateMissingError,
     InclusionNotCertifiedError,
-    MarginalMismatchError,
     NotMeasurePreservingError,
     NumericalFailureError,
     UnknownGalleryNameError,
@@ -35,10 +34,18 @@ from .errors import (
 )
 from .measures import DiscreteMeasure, SampledMap, value_law
 from .rearrangement import HeavyAtoms, construct_m_to_1
-from .tolerances import DEFAULT_TOL, RTOL, dominant, gap_vanishes
+from .tolerances import (
+    DEFAULT_TOL,
+    dominant,
+    gap_vanishes,
+    solver_tol,
+    sums_match,
+    within_optimum,
+)
 from .transport import (
     CostMatrix,
     TransportPlan,
+    _support_gaps,
     build_cost,
     duality_certificate,
     objective,
@@ -72,12 +79,11 @@ def plan_from_map(
             raise UnknownLabelError(f"target label {s[label]!r} not in target measure") from None
     plan = TransportPlan(rows, cols, mu.weights.copy(), mu, nu)
     if check:
-        discrepancy = np.abs(plan.col_sums() - nu.weights)
-        worst = int(np.argmax(discrepancy))
-        scale = max(1.0, nu.total_mass)
-        if not discrepancy[worst] <= RTOL * scale:
+        sums = plan.col_sums()
+        if not sums_match(sums, nu.weights, nu.total_mass):
+            worst = int(np.argmax(np.abs(sums - nu.weights)))
             raise NotMeasurePreservingError(
-                f"column {nu.labels[worst]!r} receives {plan.col_sums()[worst]!r} "
+                f"column {nu.labels[worst]!r} receives {sums[worst]!r} "
                 f"instead of {nu.weights[worst]!r}"
             )
     return plan
@@ -91,14 +97,7 @@ def verify_polar_inclusion(
     Returns (certified, max_gap): the largest Fenchel gap over support
     triplets and whether it stays within ``tol``.
     """
-    if plan.mu.size != u.domain.size:
-        raise MarginalMismatchError("plan source does not match the map's domain")
-    if plan.nu.size != psi.support.size:
-        raise MarginalMismatchError("plan target does not match the potential's support")
-    if plan.n_triplets == 0:
-        return True, 0.0
-    gaps = fenchel_gap_many(psi, u.values[plan.rows], plan.cols)
-    max_gap = float(np.max(gaps))
+    max_gap = float(np.max(_support_gaps(plan, psi, u), initial=0.0))
     return max_gap <= tol, max_gap
 
 
@@ -206,10 +205,9 @@ def verify_optimality_of_inclusion(
     cost = build_cost(u, pi.nu)
     opt_plan, _ = solve_mk(cost, pi.mu, pi.nu)
     i_pi = objective(pi, cost)
-    i_opt = objective(opt_plan, cost)
-    if not i_pi <= i_opt + RTOL * (1.0 + abs(i_opt)):
+    if not within_optimum(i_pi, objective(opt_plan, cost)):
         return False
-    return shifted_objective(pi, psi, u) <= RTOL * (1.0 + abs(i_pi))
+    return gap_vanishes(shifted_objective(pi, psi, u), i_pi)
 
 
 @dataclass(frozen=True)
@@ -219,23 +217,24 @@ class DegeneracyReport:
     zero_column_counts: np.ndarray
     degeneracy_index: float
     split_index: float
-    tol: float
+    tol: float  # the zero test applied to reduced costs
 
 
-def degeneracy_report(
-    plan: TransportPlan, duals: DualPair, cost: CostMatrix, tol: float = DEFAULT_TOL
-) -> DegeneracyReport:
+def degeneracy_report(plan: TransportPlan, duals: DualPair, cost: CostMatrix) -> DegeneracyReport:
     """Mass fraction of rows with several optimal targets (degeneracy) and
     with genuinely split plan mass (split); split <= degeneracy always.
 
-    Requires the zero-duality-gap certificate of the pair, since reduced
-    costs are only meaningful against optimal duals.
+    A target is optimal for a row when its reduced cost is zero by the
+    solver's own test, ``|reduced| <= solver_tol``.  Requires the
+    zero-duality-gap certificate of the pair, since reduced costs are only
+    meaningful against optimal duals.
     """
     cert = duality_certificate(plan, duals, cost)
     if not gap_vanishes(cert["gap"], cert["I"]):
         raise CertificateMissingError(
             f"duality gap {cert['gap']!r} is not certified zero"
         )
+    tol = solver_tol(cost.entries)
     reduced = cost.entries - duals.phi_c[:, None] - duals.phi[None, :]
     zero_counts = np.sum(np.abs(reduced) <= tol, axis=1).astype(int)
     w = plan.mu.weights

@@ -11,12 +11,19 @@ from .errors import UnequalMassError
 
 RTOL = 1e-9  # relative: masses, duality gaps, objective values
 EXACT_RTOL = 1e-12  # relative: masses that only rounding may separate
-DEFAULT_TOL = 1e-8  # absolute: Fenchel gaps, the conjugate identity, zero reduced costs
+DEFAULT_TOL = 1e-8  # absolute: Fenchel gaps and the conjugate identity
 DOMINANT_FRACTION = 1.0 - RTOL  # share of its row's or site's mass a dominant cell carries
 
 
-def masses_close(a: float, b: float, rtol: float = RTOL) -> bool:
-    return abs(a - b) <= rtol * max(1.0, abs(a), abs(b))
+def masses_close(a, b, rtol: float = RTOL):
+    """Elementwise: |a - b| is within ``rtol`` of the larger of 1, |a|, |b|."""
+    return np.abs(a - b) <= rtol * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+
+
+def sums_match(sums: np.ndarray, weights: np.ndarray, total: float) -> bool:
+    """True when every marginal sum reproduces its weight, relative to the
+    total mass."""
+    return bool(np.max(np.abs(sums - weights), initial=0.0) <= RTOL * max(1.0, total))
 
 
 def check_balanced(total_a: float, total_b: float, rtol: float = RTOL) -> None:
@@ -27,6 +34,11 @@ def check_balanced(total_a: float, total_b: float, rtol: float = RTOL) -> None:
 def gap_vanishes(gap: float, value: float) -> bool:
     """True when a gap is zero relative to the value it was taken from."""
     return abs(gap) <= RTOL * (1.0 + abs(value))
+
+
+def within_optimum(value: float, optimum: float) -> bool:
+    """True when an objective value does not exceed the optimum beyond rounding."""
+    return value <= optimum + RTOL * (1.0 + abs(optimum))
 
 
 def dominant(mass, total):

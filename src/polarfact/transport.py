@@ -53,11 +53,11 @@ from .errors import (
 from .measures import DiscreteMeasure, SampledMap
 from .tolerances import (
     EXACT_RTOL,
-    RTOL,
     check_balanced,
     gap_vanishes,
     masses_close,
     solver_tol,
+    sums_match,
 )
 
 _log = logging.getLogger("polarfact")
@@ -130,10 +130,10 @@ class TransportPlan:
         if not np.all(np.isfinite(self.masses)):
             raise MarginalMismatchError("plan masses must be finite")
         self._check_indices()
-        scale = max(1.0, self.mu.total_mass)
-        if not np.max(np.abs(self.row_sums() - self.mu.weights), initial=0.0) <= RTOL * scale:
+        total = self.mu.total_mass
+        if not sums_match(self.row_sums(), self.mu.weights, total):
             raise MarginalMismatchError("row sums do not match the source weights")
-        if not np.max(np.abs(self.col_sums() - self.nu.weights), initial=0.0) <= RTOL * scale:
+        if not sums_match(self.col_sums(), self.nu.weights, total):
             raise MarginalMismatchError("column sums do not match the target weights")
 
     def _check_indices(self) -> None:
@@ -685,6 +685,10 @@ def solve_mk(cost: CostMatrix, mu: DiscreteMeasure, nu: DiscreteMeasure):
     cert = duality_certificate(plan, duals, cost)
     if not gap_vanishes(cert["gap"], cert["I"]):
         raise NumericalFailureError(f"duality gap {cert['gap']!r} exceeds tolerance")
+    # a zero gap proves optimality only for feasible duals
+    violation = duals.max_feasibility_violation()
+    if not violation <= sx.tol:
+        raise NumericalFailureError(f"duals violate a cost constraint by {violation!r}")
     return plan, duals
 
 
@@ -699,8 +703,8 @@ def brute_force_mk(cost: CostMatrix, mu: DiscreteMeasure, nu: DiscreteMeasure) -
         raise OracleScopeExceededError(f"oracle limited to square instances <= 8, got {m}x{n}")
     w = mu.weights
     v = nu.weights
-    if not (np.allclose(w, w[0], rtol=EXACT_RTOL, atol=0)
-            and np.allclose(v, v[0], rtol=EXACT_RTOL, atol=0)):
+    if not (np.all(masses_close(w, w[0], EXACT_RTOL))
+            and np.all(masses_close(v, v[0], EXACT_RTOL))):
         raise OracleScopeExceededError("oracle requires uniform weights on both sides")
     if not masses_close(w[0], v[0], EXACT_RTOL):
         raise OracleScopeExceededError("oracle requires equal uniform weights")
@@ -709,16 +713,20 @@ def brute_force_mk(cost: CostMatrix, mu: DiscreteMeasure, nu: DiscreteMeasure) -
     return float(w[0] * totals.min())
 
 
-def shifted_objective(plan: TransportPlan, psi: ConvexPotential, u: SampledMap) -> float:
-    """Plan-weighted sum of Fenchel gaps; equals I plus a marginal-only shift."""
+def _support_gaps(plan: TransportPlan, psi: ConvexPotential, u: SampledMap) -> np.ndarray:
+    """Fenchel gap of u(x_i) at y_j for each support triplet (i, j) of the plan."""
     if plan.mu.size != u.domain.size:
         raise MarginalMismatchError("plan source does not match the map's domain")
     if plan.nu.size != psi.support.size:
         raise MarginalMismatchError("plan target does not match the potential's support")
     if plan.n_triplets == 0:
-        return 0.0
-    gaps = fenchel_gap_many(psi, u.values[plan.rows], plan.cols)
-    return float(np.dot(plan.masses, gaps))
+        return np.zeros(0)
+    return fenchel_gap_many(psi, u.values[plan.rows], plan.cols)
+
+
+def shifted_objective(plan: TransportPlan, psi: ConvexPotential, u: SampledMap) -> float:
+    """Plan-weighted sum of Fenchel gaps; equals I plus a marginal-only shift."""
+    return float(np.dot(plan.masses, _support_gaps(plan, psi, u)))
 
 
 def _northwest_cells(a: np.ndarray, b: np.ndarray, root: int):

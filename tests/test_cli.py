@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from polarfact import cli, io
+from polarfact import cli, io, transport
 from polarfact.cli import main
 from polarfact.errors import SplitAtomError
 from polarfact.measures import DiscreteMeasure, SampledMap
@@ -56,6 +56,19 @@ class TestSolve:
         assert doc["certificate"]["I"] == 0.0
         assert doc["certificate"]["gap"] == 0.0
         assert doc["phi"][0] == 0.0
+
+    def test_infeasible_duals_exit_3(self, paired_instance, capsys, monkeypatch):
+        strictify = transport._strictify_duals
+
+        def shifted(*args):
+            # x0 and y0 both weigh 1/4, so the dual value stays the same
+            alpha, beta = strictify(*args)
+            return alpha + [10.0, 0.0, 0.0], beta - [10.0, 0.0, 0.0]
+
+        monkeypatch.setattr(transport, "_strictify_duals", shifted)
+        u_path, y_path = paired_instance
+        assert main(["solve", "--u", u_path, "--Y", y_path]) == 3
+        assert "duals violate a cost constraint" in capsys.readouterr().err
 
     def test_oracle_flag(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -638,6 +651,19 @@ class TestMalformedDocuments:
             doc["dimension"] = dimension
         assert self.run(tmp_path, self.solve, "Y", doc) == 2
         assert "coords must be a list of numbers, got 0.5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "coords, message",
+        [([[[0.5]]], "point 'y0': coords must be a non-empty flat list, got [[0.5]]"),
+         ([[0.5], [1.5, 2.0]], "point 'y1' has 2 coordinates, point 'y0' has 1"),
+         ([[], []], "point 'y0': coords must be a non-empty flat list, got []")],
+        ids=["nested", "ragged", "empty"],
+    )
+    def test_coords_of_the_wrong_shape(self, tmp_path, capsys, coords, message):
+        doc = {"points": [{"label": f"y{k}", "coords": c, "weight": 1.0 / len(coords)}
+                          for k, c in enumerate(coords)]}
+        assert self.run(tmp_path, self.solve, "Y", doc) == 2
+        assert message in capsys.readouterr().err
 
     def test_map_values_not_an_array(self, tmp_path, capsys):
         doc = {"measure": measure_doc([1.0], prefix="x"), "values": 3}

@@ -6,13 +6,11 @@ from polarfact.errors import (
     DuplicateLabelError,
     NegativeWeightError,
     UnequalMassError,
-    UnknownLabelError,
 )
 from polarfact.measures import (
     DiscreteMeasure,
     SampledMap,
     equimeasurable,
-    pushforward,
     validate,
     value_law,
 )
@@ -159,51 +157,3 @@ class TestEquimeasurable:
             g = SampledMap(X, vals[sigma])
             assert equimeasurable(f, g)
 
-
-class TestPushforward:
-    def test_identity(self):
-        m = abstract([0.3, 0.7])
-        img = pushforward(m, {"x0": "x0", "x1": "x1"}, m)
-        assert img.labels == m.labels
-        np.testing.assert_allclose(img.weights, m.weights)
-
-    def test_constant_assignment(self):
-        m = abstract([0.3, 0.7])
-        img = pushforward(m, {"x0": "x1", "x1": "x1"}, m)
-        assert img.labels == ("x1",)
-        assert img.weights[0] == pytest.approx(1.0)
-
-    def test_swap_preserves_uniform(self):
-        m = abstract([0.5, 0.5])
-        img = pushforward(m, {"x0": "x1", "x1": "x0"}, m)
-        np.testing.assert_allclose(img.weights, [0.5, 0.5])
-
-    def test_total_mass_exact_on_dyadic_weights(self):
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            n, k = int(rng.integers(1, 20)), int(rng.integers(1, 6))
-            src = abstract(rng.integers(1, 64, n) / 64.0)
-            tgt = abstract(np.ones(k), prefix="t")
-            assignment = {f"x{i}": f"t{int(rng.integers(0, k))}" for i in range(n)}
-            img = pushforward(src, assignment, tgt)
-            assert img.total_mass == src.total_mass
-
-    def test_total_mass_preserved_general(self):
-        rng = np.random.default_rng(9)
-        for _ in range(20):
-            n, k = int(rng.integers(1, 20)), int(rng.integers(1, 6))
-            src = abstract(rng.uniform(0.01, 1.0, n))
-            tgt = abstract(np.ones(k), prefix="t")
-            assignment = {f"x{i}": f"t{int(rng.integers(0, k))}" for i in range(n)}
-            img = pushforward(src, assignment, tgt)
-            assert img.total_mass == pytest.approx(src.total_mass, rel=1e-14)
-
-    def test_partial_assignment_rejected(self):
-        m = abstract([0.5, 0.5])
-        with pytest.raises(UnknownLabelError):
-            pushforward(m, {"x0": "x0"}, m)
-
-    def test_unknown_target_rejected(self):
-        m = abstract([0.5, 0.5])
-        with pytest.raises(UnknownLabelError):
-            pushforward(m, {"x0": "zz", "x1": "x0"}, m)

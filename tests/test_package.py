@@ -21,3 +21,45 @@ def test_every_tolerance_lives_in_the_tolerances_module():
         and 0 < abs(node.value) < 1e-6
     ]
     assert found == []
+
+
+def _package_trees():
+    src = pathlib.Path(polarfact.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        if path.name != "tolerances.py":
+            yield path.name, ast.parse(path.read_text(), str(path))
+
+
+def test_relative_bounds_are_judged_in_the_tolerances_module():
+    # a relative tolerance may be handed to a predicate, never applied in place
+    names = {"RTOL", "EXACT_RTOL", "DOMINANT_FRACTION"}
+    found = []
+    for name, tree in _package_trees():
+        handed_on = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                handed_on.update(map(id, node.args))
+                handed_on.update(id(k.value) for k in node.keywords)
+            elif isinstance(node, ast.arguments):
+                handed_on.update(map(id, node.defaults))
+                handed_on.update(id(d) for d in node.kw_defaults if d is not None)
+        found += [
+            f"{name}:{node.lineno}: {node.id}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id in names and id(node) not in handed_on
+        ]
+    assert found == []
+
+
+def test_no_unit_floor_outside_the_tolerances_module():
+    # max(1.0, x) and np.maximum(1.0, x) are the floor of a relative bound
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in _package_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) == "max" or getattr(node.func, "attr", None) == "maximum")
+        and any(isinstance(a, ast.Constant) and type(a.value) is float and a.value == 1.0
+                for a in node.args)
+    ]
+    assert found == []

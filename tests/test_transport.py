@@ -4,10 +4,12 @@ from collections import deque
 import numpy as np
 import pytest
 
+from polarfact import transport
 from polarfact.convex import ConvexPotential
 from polarfact.errors import (
     DimensionMismatchError,
     MarginalMismatchError,
+    NumericalFailureError,
     OracleScopeExceededError,
     UnequalMassError,
 )
@@ -298,6 +300,25 @@ class TestSolveMK:
             cost = build_cost(u, Y)
             plan, _ = solve_mk(cost, u.domain, Y)
             assert worst_cycle_violation(plan, cost, 1000, 5, seed=trial) <= 1e-9
+
+    def test_infeasible_duals_are_refused(self, monkeypatch):
+        # one row's dual up by delta and one column's down by delta * w_0 / v_0
+        # leave the dual value, and so the gap, as they were
+        rng = np.random.default_rng(8)
+        u, Y = random_instance(rng, 6, 5, uniform_weights=False)
+        w, v = u.domain.weights, Y.weights
+        strictify = transport._strictify_duals
+
+        def shifted(*args):
+            alpha, beta = strictify(*args)
+            alpha, beta = alpha.copy(), beta.copy()
+            alpha[0] += 10.0
+            beta[0] -= 10.0 * w[0] / v[0]
+            return alpha, beta
+
+        monkeypatch.setattr(transport, "_strictify_duals", shifted)
+        with pytest.raises(NumericalFailureError, match="duals violate a cost constraint"):
+            solve_mk(build_cost(u, Y), u.domain, Y)
 
 
 def one_d_split_instance(rng, n):
