@@ -61,10 +61,13 @@ class DualPair:
         object.__setattr__(self, "phi_c", np.asarray(self.phi_c, dtype=float).reshape(-1))
         object.__setattr__(self, "phi", np.asarray(self.phi, dtype=float).reshape(-1))
 
+    def reduced_costs(self) -> np.ndarray:
+        """(c - phi_c) - phi, with the simplex's pricing subtractions in its order."""
+        return self.cost_ref.entries - self.phi_c[:, None] - self.phi[None, :]
+
     def max_feasibility_violation(self) -> float:
         """max over (i, j) of phi_c[i] + phi[j] - c[i, j]; <= 0 means feasible."""
-        c = self.cost_ref.entries
-        return float(np.max(self.phi_c[:, None] + self.phi[None, :] - c))
+        return float(-np.min(self.reduced_costs()))
 
     def c_concavity_gap(self) -> float:
         """Sup-norm distance between phi and its double c-transform."""

@@ -44,6 +44,8 @@ class DiscreteMeasure:
         object.__setattr__(self, "weights", w)
         if self.coords is not None:
             c = np.asarray(self.coords, dtype=float)
+            if c.ndim not in (1, 2):
+                raise DimensionMismatchError(f"coordinates must be 1-D or 2-D, got {c.ndim}-D")
             if c.ndim == 1:
                 c = c.reshape(-1, 1)
             object.__setattr__(self, "coords", c)

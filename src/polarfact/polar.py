@@ -1,9 +1,9 @@
 """Polar factorisation / polar inclusion pipeline and degeneracy diagnostics.
 
 The pipeline solves the quadratic transport problem between a sampled map u
-and a target measure Y, turns the recovered target dual into a convex
-potential psi(y) = |y|^2/2 - phi(y), and certifies u(x) in the discrete
-subdifferential of psi at y for every support pair of the optimal plan.
+and a target measure Y, certifies u(x) in the discrete subdifferential of
+psi(y) = |y|^2/2 - phi(y) for every support pair of the optimal plan from
+the duals' reduced costs, and returns psi, formed from the target dual.
 When every source point sends its whole mass to a single target (and
 coincident targets receive a single value), the plan is the graph of a
 measure-preserving map s and u factors exactly as u = u_sharp o s;
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convex import ConvexPotential, DualPair, conjugate_many
+from .convex import ConvexPotential, DualPair
 from .errors import (
     CertificateMissingError,
     InclusionNotCertifiedError,
@@ -125,24 +125,24 @@ def polar_factorize(u: SampledMap, Y: DiscreteMeasure, tol: float = DEFAULT_TOL)
     """Solve, certify the subdifferential inclusion, and extract a factor map
     when the optimal plan is the graph of one.
 
-    The potential is taken from the solver's target dual; the inclusion
-    certificate and the conjugate identity between the source dual and the
-    potential's conjugate are asserted (they hold at any optimum, so a
-    failure signals a solver defect, not a property of the instance).
+    Both certificates read the duals' reduced costs R, which hold no |y|^2
+    term: a support cell's Fenchel gap is its R above its row minimum, and
+    the conjugate identity asks each row minimum to be 0.  Both hold at any
+    optimum, so a failure is a solver defect, not a property of the instance.
     """
     cost = build_cost(u, Y)
     plan, duals = solve_mk(cost, u.domain, Y)
     psi = ConvexPotential(Y, 0.5 * np.sum(Y.coords * Y.coords, axis=1) - duals.phi)
 
-    certified, max_gap = verify_polar_inclusion(plan, psi, u, tol)
-    if not certified:
+    reduced = duals.reduced_costs()
+    row_min = reduced.min(axis=1)
+    max_gap = float(np.max(reduced[plan.rows, plan.cols] - row_min[plan.rows], initial=0.0))
+    if not max_gap <= tol:
         raise NumericalFailureError(
             f"inclusion certificate failed at optimality: max gap {max_gap!r}"
         )
-    conj = conjugate_many(psi, u.values)
-    identity_err = float(
-        np.max(np.abs(conj - (0.5 * np.sum(u.values * u.values, axis=1) - duals.phi_c)))
-    )
+    # psi*(u_i) = |u_i|^2/2 - phi_c_i - min_k R_ik: row minima are the identity's residuals
+    identity_err = float(np.max(np.abs(row_min)))
     if not identity_err <= tol:
         raise NumericalFailureError(
             f"conjugate identity violated by {identity_err!r} at some source point"
@@ -235,7 +235,7 @@ def degeneracy_report(plan: TransportPlan, duals: DualPair, cost: CostMatrix) ->
             f"duality gap {cert['gap']!r} is not certified zero"
         )
     tol = solver_tol(cost.entries)
-    reduced = cost.entries - duals.phi_c[:, None] - duals.phi[None, :]
+    reduced = DualPair(duals.phi_c, duals.phi, cost).reduced_costs()
     zero_counts = np.sum(np.abs(reduced) <= tol, axis=1).astype(int)
     w = plan.mu.weights
     total = plan.mu.total_mass

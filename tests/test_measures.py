@@ -50,6 +50,11 @@ class TestValidate:
             )
             validate(m)
 
+    @pytest.mark.parametrize("shape", [(2, 1, 1), (2, 2, 3), ()])
+    def test_coordinates_of_other_rank_rejected(self, shape):
+        with pytest.raises(DimensionMismatchError, match="coordinates must be 1-D or 2-D"):
+            DiscreteMeasure(("a", "b"), [0.5, 0.5], np.zeros(shape))
+
     def test_empty_support_rejected(self):
         with pytest.raises(NegativeWeightError):
             validate(DiscreteMeasure((), []))
