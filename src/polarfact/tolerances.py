@@ -47,6 +47,6 @@ def dominant(mass, total):
 
 def solver_tol(C: np.ndarray) -> float:
     """The simplex prices a cell as improving below ``-tol``, and
-    strictification treats a slack ``<= tol`` as zero."""
-    return 1e-11 * max(1.0, float(np.max(np.abs(C)))) if C.size else 1e-11
+    strictification treats a slack ``<= tol`` as zero; relative to max|C|."""
+    return 1e-11 * float(np.max(np.abs(C))) if C.size else 0.0
 

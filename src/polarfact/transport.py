@@ -234,82 +234,59 @@ def duality_certificate(plan: TransportPlan, duals: DualPair, cost: CostMatrix) 
 # dual interiorization
 # ---------------------------------------------------------------------------
 
-def _scc(n_nodes: int, edges) -> np.ndarray:
-    """Strongly connected components (iterative Tarjan); returns labels."""
-    adj = [[] for _ in range(n_nodes)]
-    for p, q in edges:
-        adj[p].append(q)
-    index = [-1] * n_nodes
-    lowlink = [0] * n_nodes
-    on_stack = [False] * n_nodes
-    comp = [-1] * n_nodes
-    stack: list = []
-    counter = 0
-    n_comp = 0
+def _ranks(n_nodes: int, edges) -> np.ndarray:
+    """Rank of each node of the digraph ``edges`` (source and target arrays):
+    the longest path that ends at its strongly connected set in the
+    condensation.  Kosaraju's algorithm (Sharir 1981) collects the sets in
+    topological order, by searches against the edges in reverse finishing
+    order of a search along them, so every set with an edge into the one
+    being collected already has its rank."""
+    out = [[] for _ in range(n_nodes)]
+    into = [[] for _ in range(n_nodes)]
+    for p, q in zip(edges[0].tolist(), edges[1].tolist()):
+        out[p].append(q)
+        into[q].append(p)
+    seen = [False] * n_nodes
+    finished = []
     for root in range(n_nodes):
-        if index[root] != -1:
+        if seen[root]:
             continue
-        index[root] = lowlink[root] = counter
-        counter += 1
-        if not adj[root]:  # no way out: a component of its own
-            comp[root] = n_comp
-            n_comp += 1
-            continue
-        stack.append(root)
-        on_stack[root] = True
-        work = [(root, iter(adj[root]))]
+        seen[root] = True
+        work = [(root, iter(out[root]))]
         while work:
-            v, out = work[-1]
-            for w in out:
-                if index[w] == -1:
-                    index[w] = lowlink[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter(adj[w])))
+            v, ahead = work[-1]
+            for w in ahead:
+                if not seen[w]:
+                    seen[w] = True
+                    work.append((w, iter(out[w])))
                     break
-                if on_stack[w] and index[w] < lowlink[v]:
-                    lowlink[v] = index[w]
             else:
                 work.pop()
-                if lowlink[v] == index[v]:
-                    while True:
-                        w = stack.pop()
-                        on_stack[w] = False
-                        comp[w] = n_comp
-                        if w == v:
-                            break
-                    n_comp += 1
-                if work:
-                    parent = work[-1][0]
-                    if lowlink[v] < lowlink[parent]:
-                        lowlink[parent] = lowlink[v]
-    return np.asarray(comp, dtype=int)
-
-
-def _condensation_ranks(n_nodes: int, edges) -> np.ndarray:
-    """Rank of each node's strongly connected component: the length of the
-    longest path that ends at the component in the condensation.
-
-    ``_scc`` numbers components in reverse topological order, so every
-    edge between components runs from a higher number to a lower one;
-    relaxing those edges by descending source fixes each rank before it
-    is read.
-    """
-    scc = _scc(n_nodes, edges)
-    label = scc.tolist()
-    cross = sorted({(label[p], label[q]) for p, q in edges if label[p] != label[q]}, reverse=True)
-    rank = [0] * n_nodes
-    for s, t in cross:
-        if rank[s] + 1 > rank[t]:
-            rank[t] = rank[s] + 1
-    return np.asarray(rank, dtype=int)[scc]
+                finished.append(v)
+    label = [-1] * n_nodes
+    set_rank = []
+    for root in reversed(finished):
+        if label[root] >= 0:
+            continue
+        s = len(set_rank)
+        label[root] = s
+        rank = 0
+        members = [root]
+        for v in members:  # grows as the set is collected
+            for w in into[v]:
+                if label[w] < 0:
+                    label[w] = s
+                    members.append(w)
+                elif label[w] != s and set_rank[label[w]] >= rank:
+                    rank = set_rank[label[w]] + 1
+        set_rank.append(rank)
+    return np.asarray(set_rank, dtype=int)[label]
 
 
 _GAMMA_BLOCK = 1 << 14  # cells per row block of the step-size scan
 
 
-def _strictify_duals(comp, n_comp, slack, alpha, beta, zero_tol):
+def _strictify_duals(rows, cols, slack, alpha, beta, zero_tol):
     """Open positive slack between support components where the optimal face
     allows it, keeping feasibility, support tightness and the gauge.
 
@@ -320,29 +297,28 @@ def _strictify_duals(comp, n_comp, slack, alpha, beta, zero_tol):
     condensation of the zero-slack graph makes every slack that is not
     forced tight strictly positive.
 
-    ``comp`` labels the rows and then the columns by support component,
-    ``n_comp`` of them, and ``slack`` holds the reduced costs
-    (C - alpha) - beta of the duals given.
+    ``rows`` and ``cols`` are the plan's support cells and ``slack`` holds
+    the reduced costs (C - alpha) - beta of the duals given.  The ranks are
+    taken on the rows and then the columns: each row points to its
+    zero-slack columns and each support cell both ways, which makes every
+    support component strongly connected.
     """
-    if n_comp == 1:
-        return alpha, beta
     m, n = slack.shape
-    comp_row, comp_col = comp[:m], comp[m:]
-    # zero-slack pairs of components, read off the tight cells
+    if rows.size == m + n - 1:  # the support spans a tree: one component
+        return alpha, beta
     tight = np.flatnonzero(slack <= zero_tol)
-    p, q = comp_row[tight // n], comp_col[tight % n]
-    cross = p != q
-    zero_edges = set(zip(p[cross].tolist(), q[cross].tolist()))
-    comp_rank = _condensation_ranks(n_comp, zero_edges)
+    cols = m + cols
+    rank = _ranks(m + n, (np.concatenate([tight // n, rows, cols]),
+                          np.concatenate([m + tight % n, cols, rows])))
     # only cells whose shift goes against the slack constrain the step size:
     # gamma * (rank of row - rank of column) <= slack wherever that drop is
     # > 0.  Such a cell is never tight (the column of a tight cell outranks
-    # its row or shares its rank), so with slacks raised to zero_tol > 0 and
-    # drops clipped at 0 the quotient is exact there and +inf elsewhere.
-    # Row blocks keep the temporaries in cache.
-    rank_row = comp_rank[comp_row].astype(float)
-    rank_col = comp_rank[comp_col].astype(float)
-    step = max(1, _GAMMA_BLOCK // n)
+    # its row or shares its rank), so with slacks raised to zero_tol (to the
+    # least normal float for an all-zero C) and drops clipped at 0 the
+    # quotient is exact there and +inf elsewhere.
+    floor = max(zero_tol, np.finfo(float).tiny)
+    rank_row, rank_col = rank[:m].astype(float), rank[m:].astype(float)
+    step = max(1, _GAMMA_BLOCK // n)  # row blocks keep temporaries in cache
     drop = np.empty((min(step, m), n))
     ratio = np.empty_like(drop)
     bound = np.inf
@@ -352,13 +328,13 @@ def _strictify_duals(comp, n_comp, slack, alpha, beta, zero_tol):
             d, r = drop[: stop - start], ratio[: stop - start]
             np.subtract(rank_row[start:stop, None], rank_col, out=d)
             np.maximum(d, 0.0, out=d)
-            np.maximum(slack[start:stop], zero_tol, out=r)
+            np.maximum(slack[start:stop], floor, out=r)
             np.divide(r, d, out=r)
             bound = min(bound, float(r.min()))
     gamma = 0.5 * bound if bound < np.inf else 1.0
-    delta = gamma * comp_rank
-    delta = delta - delta[comp_col[0]]  # keep phi(y_1) = 0
-    return alpha + delta[comp_row], beta - delta[comp_col]
+    delta = gamma * rank
+    delta = delta - delta[m]  # keep phi(y_1) = 0
+    return alpha + delta[:m], beta - delta[m:]
 
 
 # ---------------------------------------------------------------------------
@@ -634,27 +610,6 @@ class _Simplex:
         order = np.lexsort((cols, rows))
         return rows[order], cols[order], flow[node[order]]
 
-    def support_components(self):
-        """Connected components of the plan's support, from one pass over
-        the basis tree: a node shares its parent's component when the cell
-        joining them carries mass, and opens a new one otherwise.  Returns
-        the labels of the rows and then the columns, and their number."""
-        flow, children = self.flow, self.children
-        comp = [0] * (self.m + self.n)
-        n_comp = 1
-        stack = [self.m]
-        while stack:
-            node = stack.pop()
-            label = comp[node]
-            for nxt in children[node]:
-                if flow[nxt] > 0.0:
-                    comp[nxt] = label
-                else:
-                    comp[nxt] = n_comp
-                    n_comp += 1
-                stack.append(nxt)
-        return np.asarray(comp, dtype=int), n_comp
-
 
 def solve_mk(cost: CostMatrix, mu: DiscreteMeasure, nu: DiscreteMeasure):
     """Minimise sum(mass * cost) over plans with marginals (mu, nu).
@@ -677,9 +632,8 @@ def solve_mk(cost: CostMatrix, mu: DiscreteMeasure, nu: DiscreteMeasure):
     plan = TransportPlan(rows, cols, masses, mu, nu)
     # solve returns right after a pricing pass on these duals, so the
     # pricing buffer holds their reduced costs
-    comp, n_comp = sx.support_components()
     alpha, beta = _strictify_duals(
-        comp, n_comp, sx._reduced, sx.alpha.copy(), sx.beta.copy(), sx.tol
+        rows, cols, sx._reduced, sx.alpha.copy(), sx.beta.copy(), sx.tol
     )
     duals = DualPair(alpha, beta, cost)
     cert = duality_certificate(plan, duals, cost)
@@ -719,6 +673,7 @@ def _support_gaps(plan: TransportPlan, psi: ConvexPotential, u: SampledMap) -> n
         raise MarginalMismatchError("plan source does not match the map's domain")
     if plan.nu.size != psi.support.size:
         raise MarginalMismatchError("plan target does not match the potential's support")
+    plan._check_indices()  # a negative index would wrap to the last site
     if plan.n_triplets == 0:
         return np.zeros(0)
     return fenchel_gap_many(psi, u.values[plan.rows], plan.cols)

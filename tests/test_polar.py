@@ -5,6 +5,7 @@ from polarfact.convex import ConvexPotential
 from polarfact.errors import (
     CertificateMissingError,
     InclusionNotCertifiedError,
+    MarginalMismatchError,
     NotMeasurePreservingError,
     UnknownGalleryNameError,
     UnknownLabelError,
@@ -22,6 +23,7 @@ from polarfact.polar import (
 )
 from polarfact.rearrangement import multiplicity_report
 from polarfact.transport import (
+    TransportPlan,
     brute_force_mk,
     build_cost,
     duality_certificate,
@@ -135,6 +137,17 @@ class TestVerifyPolarInclusion:
         ok, gap = verify_polar_inclusion(plan, ConvexPotential(Y, perturbed), u, tol)
         assert not ok
         assert gap >= 0.1 - tol
+
+    def test_negative_index_refused(self):
+        # row -2 would wrap to x0 and score the tight cell (x0, y0)
+        coords = np.array([[0.0], [1.0]])
+        Y = uniform(2, coords=coords, prefix="y")
+        u = SampledMap(uniform(2), coords)
+        psi = ConvexPotential(Y, 0.5 * coords[:, 0] ** 2)
+        plan = TransportPlan([-2, 1], [0, 1], [0.5, 0.5], u.domain, Y)
+        for check in (verify_polar_inclusion, shifted_objective, verify_optimality_of_inclusion):
+            with pytest.raises(MarginalMismatchError, match="row index -2"):
+                check(plan, psi, u)
 
 
 class TestPolarFactorize:

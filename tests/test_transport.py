@@ -18,9 +18,8 @@ from polarfact.polar import gallery_instance
 from polarfact.transport import (
     CostMatrix,
     TransportPlan,
+    _ranks,
     _Simplex,
-    _condensation_ranks,
-    _scc,
     brute_force_mk,
     build_cost,
     duality_certificate,
@@ -30,6 +29,8 @@ from polarfact.transport import (
     solve_mk,
     worst_cycle_violation,
 )
+
+from test_strictify_reference import reference_scc
 
 
 def uniform(n, total=1.0, coords=None, prefix="x"):
@@ -300,6 +301,17 @@ class TestSolveMK:
             cost = build_cost(u, Y)
             plan, _ = solve_mk(cost, u.domain, Y)
             assert worst_cycle_violation(plan, cost, 1000, 5, seed=trial) <= 1e-9
+
+    def test_all_zero_cost(self):
+        # every cell prices at exactly 0, and so does the solver's zero
+        # test; the support does not span, so the duals are strictified
+        X = uniform(3)
+        Y = uniform(3, coords=np.zeros((3, 2)), prefix="y")
+        cost = build_cost(SampledMap(X, np.zeros((3, 2))), Y)
+        plan, duals = solve_mk(cost, X, Y)
+        assert plan.n_triplets < 5
+        assert objective(plan, cost) == 0.0
+        assert duals.max_feasibility_violation() == 0.0
 
     def test_infeasible_duals_are_refused(self, monkeypatch):
         # one row's dual up by delta and one column's down by delta * w_0 / v_0
@@ -668,9 +680,9 @@ class TestRandomPlan:
 
 
 def kahn_condensation_ranks(n_nodes, edges):
-    """Reference ranking: longest paths over the condensation by Kahn's
-    queue, the form strictification used before its one-pass ranking."""
-    scc = _scc(n_nodes, edges)
+    """Reference ranking: longest paths over the condensation of the test's
+    own Tarjan components by Kahn's queue."""
+    scc = reference_scc(n_nodes, edges)
     n_scc = int(scc.max()) + 1
     indeg = np.zeros(n_scc, dtype=int)
     cond_adj = [set() for _ in range(n_scc)]
@@ -690,6 +702,12 @@ def kahn_condensation_ranks(n_nodes, edges):
     return rank[scc]
 
 
+def ranks(n_nodes, edges):
+    """``_ranks`` on a list of (source, target) pairs."""
+    pairs = np.array(edges, dtype=int).reshape(-1, 2)
+    return _ranks(n_nodes, (pairs[:, 0], pairs[:, 1]))
+
+
 def random_digraph(rng):
     n = int(rng.integers(2, 40))
     # about 0.5 to 3 edges per node: many components, some cycles
@@ -703,18 +721,9 @@ class TestCondensationRanks:
         rng = np.random.default_rng(1972)
         for _ in range(1000):
             n, edges = random_digraph(rng)
-            np.testing.assert_array_equal(
-                _condensation_ranks(n, edges), kahn_condensation_ranks(n, edges)
-            )
-
-    def test_scc_numbers_components_in_reverse_topological_order(self):
-        rng = np.random.default_rng(1973)
-        for _ in range(300):
-            n, edges = random_digraph(rng)
-            scc = _scc(n, edges)
-            assert all(scc[p] >= scc[q] for p, q in edges)
+            np.testing.assert_array_equal(ranks(n, edges), kahn_condensation_ranks(n, edges))
 
     def test_chain_and_cycle(self):
         # 0 -> 1 -> 2 with 2 <-> 3 in one component, and 4 isolated
         edges = [(0, 1), (1, 2), (2, 3), (3, 2)]
-        np.testing.assert_array_equal(_condensation_ranks(5, edges), [0, 1, 2, 2, 0])
+        np.testing.assert_array_equal(ranks(5, edges), [0, 1, 2, 2, 0])
