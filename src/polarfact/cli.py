@@ -124,7 +124,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_factorize(args: argparse.Namespace) -> int:
     u, Y = _read_instance(args)
-    result = polar_factorize(u, Y, args.tol)
+    result = polar_factorize(u, Y)
     doc = {
         "classification": result.classification,
         "plan": io.plan_to_dict(result.plan),
@@ -190,7 +190,7 @@ def cmd_monotone(args: argparse.Namespace) -> int:
 
 def cmd_gallery(args: argparse.Namespace) -> int:
     u, Y, heavy = gallery_instance(args.name, args.grid, args.seed)
-    result = polar_factorize(u, Y, args.tol)
+    result = polar_factorize(u, Y)
     cost = build_cost(u, Y)
     deg = degeneracy_report(result.plan, result.duals, cost)
     mult = multiplicity_report(u, heavy, args.cluster_tol)
@@ -265,17 +265,13 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, *, u=False, y=False, tol=False, cluster_tol=False):
+    def common(sp, *, u=False, y=False, cluster_tol=False):
         if u:
             sp.add_argument("--u", required=True, dest="u_path", metavar="FILE",
                             help="sampled map (JSON)")
         if y:
             sp.add_argument("--Y", required=True, dest="y_path", metavar="FILE",
                             help="target measure (JSON or CSV)")
-        if tol:
-            sp.add_argument("--tol", type=float, default=None,
-                            help=f"certificate tolerance (default {DEFAULT_TOL:g}, "
-                            f"env {DEFAULT_TOL_ENV})")
         if cluster_tol:
             sp.add_argument("--cluster-tol", type=float, default=0.0, dest="cluster_tol",
                             help="value clustering tolerance (default 0: exact duplicates)")
@@ -288,7 +284,7 @@ def _parser() -> argparse.ArgumentParser:
                     help="cross-check against the permutation oracle (uniform, <= 8 points)")
 
     sp = sub.add_parser("factorize", help="polar factorisation / inclusion pipeline")
-    common(sp, u=True, y=True, tol=True)
+    common(sp, u=True, y=True)
 
     sp = sub.add_parser("rearrange", help="block construction attaining each value m times")
     common(sp, u=True, cluster_tol=True)
@@ -302,13 +298,16 @@ def _parser() -> argparse.ArgumentParser:
                     help="subdivide split target sites and re-solve once")
 
     sp = sub.add_parser("gallery", help="generate a benchmark instance and run the pipeline")
-    common(sp, tol=True, cluster_tol=True)
+    common(sp, cluster_tol=True)
     sp.add_argument("--name", required=True, help="flat-segment | m-to-1-flat | injective-control")
     sp.add_argument("--grid", type=int, required=True, metavar="N")
     sp.add_argument("--seed", type=int, default=0)
 
     sp = sub.add_parser("verify", help="re-verify an inclusion certificate and optimality")
-    common(sp, u=True, y=True, tol=True)
+    common(sp, u=True, y=True)
+    sp.add_argument("--tol", type=float, default=None,
+                    help=f"Fenchel-gap tolerance of the psi file (default {DEFAULT_TOL:g}, "
+                    f"env {DEFAULT_TOL_ENV})")
     sp.add_argument("--plan", required=True, dest="plan_path", metavar="FILE")
     sp.add_argument("--psi", required=True, dest="psi_path", metavar="FILE")
     return p

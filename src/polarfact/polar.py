@@ -120,19 +120,21 @@ class PolarResult:
         return self.classification == FACTORISATION
 
 
-def polar_factorize(u: SampledMap, Y: DiscreteMeasure, tol: float = DEFAULT_TOL) -> PolarResult:
+def polar_factorize(u: SampledMap, Y: DiscreteMeasure) -> PolarResult:
     """Solve, certify the subdifferential inclusion, and extract a factor map
     when the optimal plan is the graph of one.
 
     Both certificates read the duals' reduced costs R, which hold no |y|^2
     term: a support cell's Fenchel gap is its R above its row minimum, and
     the conjugate identity asks each row minimum to be 0.  Both hold at any
-    optimum, so a failure is a solver defect, not a property of the instance.
+    optimum, so each is judged by the solver's own ``solver_tol`` of the
+    cost, and a failure is a solver defect, not a property of the instance.
     """
     cost = build_cost(u, Y)
     plan, duals = solve_mk(cost, u.domain, Y)
     psi = ConvexPotential(Y, 0.5 * np.sum(Y.coords * Y.coords, axis=1) - duals.phi)
 
+    tol = solver_tol(cost.entries)
     reduced = duals.reduced_costs()
     row_min = reduced.min(axis=1)
     max_gap = float(np.max(reduced[plan.rows, plan.cols] - row_min[plan.rows], initial=0.0))

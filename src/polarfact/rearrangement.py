@@ -33,7 +33,7 @@ from .measures import (
     ValueLaw,
     value_law,
 )
-from .tolerances import DEFAULT_TOL, dominant
+from .tolerances import dominant, solver_tol
 from .transport import build_cost, solve_mk
 
 
@@ -46,6 +46,8 @@ class HeavyAtoms:
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
+        if v.ndim not in (1, 2):
+            raise DimensionMismatchError(f"heavy values must be 1-D or 2-D, got {v.ndim}-D")
         if v.size == 0:
             v = v.reshape(0, 1)
         elif v.ndim == 1:
@@ -239,7 +241,7 @@ def monotone_rearrangement(
     the certifying potential.
 
     Returns (u_sharp, psi) with u_sharp equimeasurable with u and a Fenchel
-    gap <= DEFAULT_TOL at every site, read off the last solve's reduced costs.
+    gap <= solver_tol at every site, read off the last solve's reduced costs.
     """
     if mode not in ("strict", "refine"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -273,7 +275,7 @@ def monotone_rearrangement(
     reduced = duals.reduced_costs()
     row_min = reduced.min(axis=1)
     max_gap = float(np.max(reduced[best_row, np.arange(target.size)] - row_min[best_row]))
-    if not max_gap <= DEFAULT_TOL:
+    if not max_gap <= solver_tol(duals.cost_ref.entries):
         raise NumericalFailureError(f"subdifferential certificate failed: max gap {max_gap!r}")
     if not value_law(u_sharp, cluster_tol).matches(law):
         raise NumericalFailureError("rearrangement output is not equimeasurable with input")

@@ -234,10 +234,10 @@ class TestValueLawReference:
 
 
     def test_masses_at_the_tolerance_boundary(self):
-        # |a - b| equals mass_rtol * max(1, |a|, |b|) exactly: still a match
+        # |a - b| equals mass_rtol * max(|a|, |b|) exactly: still a match
         rtol = 2.0**-30
         a = ValueLaw(np.array([[0.0]]), np.array([0.5]), 0.0)
-        b = ValueLaw(np.array([[0.0]]), np.array([0.5 + rtol]), 0.0)
+        b = ValueLaw(np.array([[0.0]]), np.array([0.5 - 0.5 * rtol]), 0.0)
         assert a.matches(b, rtol) and reference_matches(a, b, rtol)
         assert not a.matches(b, rtol / 2) and not reference_matches(a, b, rtol / 2)
 

@@ -235,6 +235,16 @@ class TestRearrange:
         write(heavy_path, json.dumps({"match_tolerance": 0.0, "values": [[9.0]]}))
         assert main(["rearrange", "--u", u_path, "--m", "2", "--heavy", str(heavy_path)]) == 2
 
+    @pytest.mark.parametrize("values, rank", [(5.0, 0), ([[[1.0]]], 3)])
+    def test_heavy_values_of_wrong_rank_exit_2(self, tmp_path, capsys, values, rank):
+        u_path = self._v_files(tmp_path)
+        heavy_path = tmp_path / "heavy.json"
+        write(heavy_path, json.dumps({"values": values}))
+        assert main(["rearrange", "--u", u_path, "--m", "2", "--heavy", str(heavy_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: heavy values must be 1-D or 2-D, got {rank}-D\n"
+        )
+
 
 class TestMonotone:
     def test_sorting_instance(self, tmp_path):
@@ -447,8 +457,8 @@ class TestValidation:
         # an infinite tolerance would pass every gap <= tol check
         u_path, y_path = paired_instance
         out = tmp_path / "result.json"
-        code = main(["factorize", "--u", u_path, "--Y", y_path, f"--tol={value}",
-                     "--out", str(out)])
+        code = main(["verify", "--u", u_path, "--Y", y_path, "--plan", y_path, "--psi", y_path,
+                     f"--tol={value}", "--out", str(out)])
         assert code == 2
         assert not out.exists()
         kind = "finite" if value == "inf" else "> 0"
@@ -475,7 +485,7 @@ class TestValidation:
 
     def test_tol_help_names_the_library_default(self, capsys):
         with pytest.raises(SystemExit):
-            main(["factorize", "--help"])
+            main(["verify", "--help"])
         help_text = " ".join(capsys.readouterr().out.split())
         assert f"(default {DEFAULT_TOL:g}, env POLARFACT_TOL)" in help_text
 
@@ -527,23 +537,25 @@ class TestFlags:
     @pytest.mark.parametrize(
         "command, flag",
         [("solve", ["--seed", "1"]), ("solve", ["--tol", "1e-3"]),
-         ("factorize", ["--cluster-tol", "0"]), ("monotone", ["--tol", "1e-3"]),
-         ("rearrange", ["--seed", "2"]), ("verify", ["--cluster-tol", "0"])],
+         ("factorize", ["--cluster-tol", "0"]), ("factorize", ["--tol", "1e-3"]),
+         ("monotone", ["--tol", "1e-3"]), ("rearrange", ["--seed", "2"]),
+         ("gallery", ["--tol", "1e-3"]), ("verify", ["--cluster-tol", "0"])],
     )
     def test_flag_of_another_command_exits_2(self, paired_instance, capsys, command, flag):
         u_path, y_path = paired_instance
-        rest = {"rearrange": ["--m", "2"],
-                "verify": ["--Y", y_path, "--plan", y_path, "--psi", y_path]}
+        rest = {"rearrange": ["--u", u_path, "--m", "2"],
+                "gallery": ["--name", "flat-segment", "--grid", "4"],
+                "verify": ["--u", u_path, "--Y", y_path, "--plan", y_path, "--psi", y_path]}
         with pytest.raises(SystemExit) as exc:
-            main([command, "--u", u_path, *rest.get(command, ["--Y", y_path]), *flag])
+            main([command, *rest.get(command, ["--u", u_path, "--Y", y_path]), *flag])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
-    def test_gallery_takes_seed_and_both_tolerances(self, tmp_path):
+    def test_gallery_takes_seed_and_cluster_tol(self, tmp_path):
         assert main(["gallery", "--name", "injective-control", "--grid", "4", "--seed", "3",
-                     "--tol", "1e-8", "--cluster-tol", "0", "--out", str(tmp_path)]) == 0
+                     "--cluster-tol", "0", "--out", str(tmp_path)]) == 0
 
-    @pytest.mark.parametrize("command", ["solve", "monotone"])
+    @pytest.mark.parametrize("command", ["solve", "factorize", "monotone"])
     def test_env_tol_ignored_without_tol_flag(self, paired_instance, monkeypatch, command):
         u_path, y_path = paired_instance
         monkeypatch.setenv("POLARFACT_TOL", "inf")

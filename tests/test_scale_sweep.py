@@ -1,11 +1,11 @@
 """Certificates under a change of scale and offset (ROADMAP items 4 and 5).
 
 The certificates read the duals' reduced costs, which hold no |y|^2 term,
-so an offset leaves them exact, and x1e4 and +1e6 certify like x1.  Two
-cases still fail and are strict xfails, so they fail the run as soon as
-they pass and the marks must then be removed: at x1e6 the conjugate
-identity's residual, below 3e-17 of max|C|, misses the absolute
-DEFAULT_TOL, and coordinates near 1e153 cancel the dual value to 0.
+so an offset leaves them exact, and they are judged by ``solver_tol``,
+relative to max|C|, so x1e-4 and x1e6 certify like x1.  One case still
+fails and is a strict xfail, so it fails the run as soon as it passes and
+the mark must then be removed: coordinates near 1e153 cancel the dual
+value to 0.
 
 The paper's observables, the degeneracy and split indices, are checked the
 same way on the injective-control gallery instance, from x1e-6 to x1e3:
@@ -17,14 +17,9 @@ import pytest
 
 from polarfact.errors import NumericalFailureError
 from polarfact.measures import DiscreteMeasure, SampledMap
-from polarfact.polar import DEFAULT_TOL, degeneracy_report, gallery_instance, polar_factorize
+from polarfact.polar import degeneracy_report, gallery_instance, polar_factorize
+from polarfact.tolerances import solver_tol
 from polarfact.transport import build_cost, solve_mk
-
-SCALE_DEFECT = pytest.mark.xfail(
-    strict=True,
-    raises=NumericalFailureError,
-    reason="ROADMAP item 4: DEFAULT_TOL is absolute, not relative to the cost scale",
-)
 
 # (coordinate scale, coordinate offset)
 PASSING = {
@@ -33,8 +28,8 @@ PASSING = {
     "+1e3": (1.0, 1e3),
     "x1e4": (1e4, 0.0),
     "+1e6": (1.0, 1e6),
+    "x1e6": (1e6, 0.0),
 }
-FAILING = {"x1e6": (1e6, 0.0)}
 SEEDS = range(10)
 
 
@@ -53,15 +48,9 @@ def random_2d_instance(seed, scale, offset, n=60):
 def test_certified_at_scale(name, seed):
     u, Y = random_2d_instance(seed, *PASSING[name])
     result = polar_factorize(u, Y)
-    assert result.max_gap <= DEFAULT_TOL
-
-
-@SCALE_DEFECT
-@pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("name", list(FAILING))
-def test_certified_at_extreme_scale(name, seed):
-    u, Y = random_2d_instance(seed, *FAILING[name])
-    polar_factorize(u, Y)
+    tol = solver_tol(build_cost(u, Y).entries)
+    assert result.max_gap <= tol
+    assert result.conjugate_identity_error <= tol
 
 
 @pytest.mark.xfail(

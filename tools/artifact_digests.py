@@ -3,9 +3,10 @@
     python3 tools/artifact_digests.py [SRC_DIR] > digests.txt
 
 Imports polarfact from SRC_DIR (default: the ``src/`` of this checkout)
-and, in a temporary directory, runs ``gallery``, ``factorize``, ``verify``
-and ``solve`` in-process on the three gallery families at N=8 for gallery
-seeds 0-23.  It prints one line per command with its exit code and the
+and, in a temporary directory, runs ``gallery``, ``factorize``, ``verify``,
+``solve``, ``monotone`` (strict and with ``--refine-split``) and
+``rearrange --m 2`` in-process on the three gallery families at N=8 for
+gallery seeds 0-23.  It prints one line per command with its exit code and the
 digests of its standard output and error, then one line per top-level key
 of each JSON file the instance's commands wrote and one line per other
 file.  ``diff`` of the output for two trees names the fields that moved.
@@ -73,6 +74,11 @@ def main(argv) -> int:
                     ["verify", "--u", u, "--Y", Y, "--plan", fac, "--psi", fac,
                      "--out", os.path.join(d, "verify.json")],
                     ["solve", "--u", u, "--Y", Y, "--out", os.path.join(d, "solve.json")],
+                    ["monotone", "--u", u, "--Y", Y, "--out", os.path.join(d, "monotone.json")],
+                    ["monotone", "--u", u, "--Y", Y, "--refine-split",
+                     "--out", os.path.join(d, "monotone-refine.json")],
+                    ["rearrange", "--u", u, "--m", "2", "--heavy", os.path.join(d, "heavy.json"),
+                     "--out", os.path.join(d, "rearrange.json")],
                 ]
                 for command in commands:
                     print(d, run(cli, command))
