@@ -1,9 +1,12 @@
 """Exact solution of the discrete quadratic-cost transport problem.
 
 The solver is a transportation simplex on the dense cost matrix: it keeps a
-spanning-tree basis of |X| + |Y| - 1 cells, prices all cells against duals
-propagated through the tree, and pivots until no reduced cost is negative.
-The entering cell has the most negative reduced cost.  Every basis tree
+spanning-tree basis of |X| + |Y| - 1 cells and a buffer of the reduced costs
+of the duals propagated through the tree, and pivots until no reduced cost
+is negative.  The entering cell has the most negative reduced cost.  After
+a pivot only the rows and columns whose duals moved are repriced, exactly,
+unless they are more than a sixteenth of all rows and columns; then, as at
+the start and after a dual recompute, every cell is.  Every basis tree
 is strongly feasible (Cunningham 1976; Ahuja, Magnanti & Orlin 1993,
 ch. 11): each zero-flow basic cell joins a row to its parent column.  Both
 starts break exact ties as the perturbed problem does, and each pivot
@@ -27,7 +30,8 @@ sorted points is a Monge array, so that staircase is an optimal basis
 certifies it, and a reduced cost that rounding leaves below the tolerance
 is pivoted away as usual.  Other instances start from the row-minimum
 basis.  Pivot counts, degenerate pivots (step exactly zero) and the start
-used are logged at DEBUG level on the ``polarfact`` logger.
+used are logged at DEBUG level on the ``polarfact`` logger, with the
+number of full and partial pricing passes.
 
 Duals are rooted at the first target site (phi(y_1) = 0) and recomputed
 exactly from the final tree, so complementary slackness holds to float
@@ -370,6 +374,10 @@ class _Simplex:
         self._alpha_col = self.alpha[:, None]
         self._beta_row = self.beta[None, :]
         self._pot_items = memoryview(self.pot)
+        # the nodes whose duals the last pivot shifted, or None when any
+        # dual may have moved since the last pricing pass
+        self._moved = None
+        self.full_passes = self.partial_passes = 0
 
     def _cell(self, v: int) -> tuple:
         """The basic cell joining node v to its parent."""
@@ -471,16 +479,40 @@ class _Simplex:
                     pot[nxt] = C.item(node, nxt - m) - pot[node]
                 stack.append(nxt)
         self.pot[:] = pot
+        self._moved = None
 
     # -- pivoting ----------------------------------------------------------------
     def _entering(self):
-        """Price every cell against the current duals and return the one
-        with the most negative reduced cost (the first in row-major order
-        among ties), or None when no reduced cost is below -tol.  The
-        entering cell's reduced cost is kept for ``_pivot``."""
+        """Bring the reduced costs up to the current duals and return the
+        cell with the most negative one (the first in row-major order among
+        ties), or None when no reduced cost is below -tol.  The entering
+        cell's reduced cost is kept for ``_pivot``.
+
+        The buffer holds (C - alpha) - beta after every call.  When the
+        last pivot recorded the nodes it moved, only their rows and columns
+        are recomputed, with the same two subtractions in the same order as
+        the full pass, so the buffer, the argmin and the pivot sequence are
+        bit-identical to pricing every cell.  Each moved node costs two
+        numpy calls, so a subtree of more than (m + n) / 16 nodes, the start
+        and any dual recompute take the full pass instead."""
         reduced, flat = self._reduced, self._reduced_flat
-        np.subtract(self.C, self._alpha_col, out=reduced)
-        np.subtract(reduced, self._beta_row, out=reduced)
+        moved, self._moved = self._moved, None
+        if moved is None or 16 * len(moved) > self.m + self.n:
+            np.subtract(self.C, self._alpha_col, out=reduced)
+            np.subtract(reduced, self._beta_row, out=reduced)
+            self.full_passes += 1
+        else:
+            C, m, pot, alpha, beta = self.C, self.m, self._pot_items, self.alpha, self.beta
+            for v in moved:
+                if v < m:
+                    line = reduced[v]
+                    np.subtract(C[v], pot[v], out=line)
+                    np.subtract(line, beta, out=line)
+                else:
+                    line = reduced[:, v - m]
+                    np.subtract(C[:, v - m], alpha, out=line)
+                    np.subtract(line, pot[v], out=line)
+            self.partial_passes += 1
         k = int(flat.argmin())
         cost = flat.item(k)
         if cost >= -self.tol:
@@ -558,6 +590,7 @@ class _Simplex:
                     depth[nxt] = d
                     pot[nxt] += s
                 moved += below
+        self._moved = moved
         return float(theta)
 
     def solve(self, order=None) -> int:
@@ -624,14 +657,16 @@ def solve_mk(cost: CostMatrix, mu: DiscreteMeasure, nu: DiscreteMeasure):
     sx = _Simplex(cost.entries, mu.weights, nu.weights)
     pivots = sx.solve(cost.order)
     _log.debug(
-        "solve_mk %dx%d: %d pivots (%d degenerate) from the %s start",
+        "solve_mk %dx%d: %d pivots (%d degenerate) from the %s start; "
+        "%d full and %d partial pricing passes",
         sx.m, sx.n, pivots, sx.degenerate_pivots,
         "row-minimum" if cost.order is None else "north-west corner on sorted supports",
+        sx.full_passes, sx.partial_passes,
     )
     rows, cols, masses = sx.plan_triplets()
     plan = TransportPlan(rows, cols, masses, mu, nu)
-    # solve returns right after a pricing pass on these duals, so the
-    # pricing buffer holds their reduced costs
+    # the pricing buffer holds the reduced costs of the current duals after
+    # every pricing pass, full or partial, and solve returns right after one
     alpha, beta = _strictify_duals(
         rows, cols, sx._reduced, sx.alpha.copy(), sx.beta.copy(), sx.tol
     )

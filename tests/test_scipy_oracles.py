@@ -2,10 +2,11 @@
 
 Uniform square instances are assignment problems: the optimal value is
 the point mass times the least assignment cost (Birkhoff), which
-``linear_sum_assignment`` finds exactly, up to 200 x 200 and on integer
-grids with many tied costs.  Weighted instances go to ``linprog`` with the
-HiGHS solver.  The bounds, 1e-9 and 1e-7 relative, are the ones the
-benchmark's own scipy checks use.  scipy is a test dependency only.
+``linear_sum_assignment`` finds exactly, up to 400 x 400 and on integer
+grids of up to 300 x 300 with many tied costs.  Weighted instances go to
+``linprog`` with the HiGHS solver.  The bounds, 1e-9 and 1e-7 relative, are
+the ones the benchmark's own scipy checks use.  scipy is a test dependency
+only.
 """
 
 import numpy as np
@@ -30,8 +31,8 @@ def solved_value(u, Y):
 
 @pytest.mark.parametrize(
     "seed, n, grid",
-    [(1, 20, None), (2, 50, None), (3, 100, None), (4, 200, None),
-     (5, 30, 1), (6, 60, 2), (7, 120, 2), (8, 200, 3)],
+    [(1, 20, None), (2, 50, None), (3, 100, None), (4, 200, None), (9, 400, None),
+     (5, 30, 1), (6, 60, 2), (7, 120, 2), (8, 200, 3), (10, 300, 3)],
 )
 def test_uniform_instances_match_linear_sum_assignment(seed, n, grid):
     rng = np.random.default_rng(seed)

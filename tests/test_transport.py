@@ -519,7 +519,8 @@ class TestSimplexTree:
         rng = np.random.default_rng(5)
         u, Y = random_instance(rng, 8, 8)
         cost = build_cost(u, Y)
-        pivots = _Simplex(cost.entries, u.domain.weights, Y.weights).solve()
+        sx = _Simplex(cost.entries, u.domain.weights, Y.weights)
+        pivots = sx.solve()
         with caplog.at_level("DEBUG", logger="polarfact"):
             result = solve_mk(cost, u.domain, Y)
         assert len(result) == 2
@@ -527,6 +528,11 @@ class TestSimplexTree:
         assert record.levelname == "DEBUG"
         assert f"{pivots} pivots" in record.getMessage()
         assert "degenerate" in record.getMessage()
+        # one pricing pass per pivot, plus the final pass on each set of
+        # recomputed duals
+        assert sx.full_passes >= 1 and sx.full_passes + sx.partial_passes > pivots
+        assert (f"{sx.full_passes} full and {sx.partial_passes} partial pricing passes"
+                in record.getMessage())
 
 
 def one_d_instance(rng, k):
