@@ -10,6 +10,7 @@ when their laws coincide.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -200,6 +201,11 @@ def _lex_order(values: np.ndarray) -> np.ndarray:
     return np.lexsort(tuple(values[:, k] for k in reversed(range(values.shape[1]))))
 
 
+_LAWS_KEPT = 4
+_laws: dict = {}  # content key -> ValueLaw, least recently used first
+_laws_lock = threading.Lock()
+
+
 def value_law(map: SampledMap, cluster_tol: float = 0.0) -> ValueLaw:
     """Cluster the map's values and return the induced (value, mass) atoms.
 
@@ -214,12 +220,34 @@ def value_law(map: SampledMap, cluster_tol: float = 0.0) -> ValueLaw:
     weights in that order: a sequential sum below 8 members, numpy's
     pairwise sum from 8 on.  Atom masses always sum to the domain's total
     mass; an empty map has the empty law.
+
+    The law is a pure function of cluster_tol and the shape and bytes of
+    the map's values and domain weights, so the laws of the last four
+    distinct calls are cached under that content: a call with equal
+    content returns the same law object, whichever map it comes from.  A
+    returned law is therefore shared, and its ``values`` and ``masses``
+    are read-only.  Inputs are neither copied nor frozen; a map changed in
+    place has new content and gets a new law.
     """
     if not np.isfinite(cluster_tol):
         raise ValueError("cluster_tol must be finite")
     if cluster_tol < 0:
         raise ValueError("cluster_tol must be >= 0")
-    vals = map.values
+    vals, w = map.values, map.domain.weights
+    key = (cluster_tol, vals.shape, vals.tobytes(), w.tobytes())
+    with _laws_lock:
+        law = _laws.pop(key, None)
+        if law is None:
+            law = _compute_law(vals, w, cluster_tol)
+            law.values.flags.writeable = False
+            law.masses.flags.writeable = False
+            if len(_laws) >= _LAWS_KEPT:
+                del _laws[next(iter(_laws))]
+        _laws[key] = law
+    return law
+
+
+def _compute_law(vals: np.ndarray, w: np.ndarray, cluster_tol: float) -> ValueLaw:
     n, d = vals.shape
     if n == 0:
         return ValueLaw(np.empty((0, d)), np.empty(0), cluster_tol, ())
@@ -232,32 +260,42 @@ def value_law(map: SampledMap, cluster_tol: float = 0.0) -> ValueLaw:
     starts = np.ones(n, dtype=bool)
     np.any(sorted_keys[1:] != sorted_keys[:-1], axis=1, out=starts[1:])
     reps = vals[order[starts]]
-    # snapping keeps each coordinate's order but not the lexicographic order
-    # of whole vectors, so the clusters are ranked by representative
     n_atoms = reps.shape[0]
-    atom_order = _lex_order(reps)
-    rank = np.empty(n_atoms, dtype=np.intp)
-    rank[atom_order] = np.arange(n_atoms)
-    atom = np.empty(n, dtype=np.intp)
-    atom[order] = rank[np.cumsum(starts) - 1]
+    if cluster_tol == 0.0:
+        # the runs are the atoms, already ranked by representative and
+        # listing their members in ascending domain index; atom and
+        # weights follow the sorted points
+        by_atom = order
+        atom = np.cumsum(starts) - 1
+        weights = w[order]
+    else:
+        # snapping keeps each coordinate's order but not the lexicographic
+        # order of whole vectors, so the clusters are ranked by
+        # representative; atom and weights follow the domain points
+        atom_order = _lex_order(reps)
+        reps = reps[atom_order]
+        rank = np.empty(n_atoms, dtype=np.intp)
+        rank[atom_order] = np.arange(n_atoms)
+        atom = np.empty(n, dtype=np.intp)
+        atom[order] = rank[np.cumsum(starts) - 1]
+        by_atom = np.argsort(atom, kind="stable")
+        weights = w
 
-    w = map.domain.weights
-    masses = np.bincount(atom, weights=w, minlength=n_atoms)
+    # either way bincount adds each atom's weights in ascending domain index
+    masses = np.bincount(atom, weights=weights, minlength=n_atoms)
     counts = np.bincount(atom, minlength=n_atoms)
-    by_atom = np.argsort(atom, kind="stable")
     ends = np.cumsum(counts)
     # bincount sums in sequence, as np.sum does below 8 terms; from 8 on
     # np.sum adds pairwise, so those atoms are summed by np.sum itself
     for k in np.nonzero(counts >= 8)[0]:
         masses[k] = np.sum(w[by_atom[ends[k] - counts[k]:ends[k]]])
     flat = by_atom.tolist()
-    bounds = [0] + ends.tolist()
-    return ValueLaw(
-        values=reps[atom_order],
-        masses=masses,
-        cluster_tol=cluster_tol,
-        members=tuple(tuple(flat[s:e]) for s, e in zip(bounds[:-1], bounds[1:])),
-    )
+    if n_atoms == n:
+        members = tuple(zip(flat))  # one point per atom
+    else:
+        bounds = [0] + ends.tolist()
+        members = tuple(tuple(flat[s:e]) for s, e in zip(bounds[:-1], bounds[1:]))
+    return ValueLaw(reps, masses, cluster_tol, members)
 
 
 def equimeasurable(f: SampledMap, g: SampledMap, cluster_tol: float = 0.0) -> bool:

@@ -45,6 +45,8 @@ class HeavyAtoms:
     match_tolerance: float = 0.0
 
     def __post_init__(self):
+        if not self.match_tolerance >= 0:
+            raise ValueError(f"match_tolerance must be >= 0, got {self.match_tolerance!r}")
         v = np.asarray(self.values, dtype=float)
         if v.ndim not in (1, 2):
             raise DimensionMismatchError(f"heavy values must be 1-D or 2-D, got {v.ndim}-D")

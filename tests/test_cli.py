@@ -245,6 +245,17 @@ class TestRearrange:
             f"error: heavy values must be 1-D or 2-D, got {rank}-D\n"
         )
 
+    @pytest.mark.parametrize("tol", [-1.0, float("nan")])
+    def test_invalid_match_tolerance_exits_2_naming_it(self, tmp_path, capsys, tol):
+        # 0.0 is an atom of the map, so the message must blame the tolerance
+        u_path = self._v_files(tmp_path)
+        heavy_path = tmp_path / "heavy.json"
+        write(heavy_path, json.dumps({"match_tolerance": tol, "values": [[0.0]]}))
+        assert main(["rearrange", "--u", u_path, "--m", "2", "--heavy", str(heavy_path)]) == 2
+        err = capsys.readouterr().err
+        assert "match_tolerance" in err
+        assert "no atom matches" not in err
+
 
 class TestMonotone:
     def test_sorting_instance(self, tmp_path):

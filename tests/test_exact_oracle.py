@@ -14,11 +14,16 @@ place of a bound relative to max|C| left plans up to 70% of max|C| above
 the optimum at 2^-20.
 """
 
+import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from polarfact import io
+from polarfact.cli import main
 from polarfact.transport import build_cost, solve_mk
+from test_cli import measure_doc, write
 from test_scale_sweep import random_2d_instance
 
 
@@ -43,3 +48,56 @@ def test_optimal_at_power_of_two_scale(k, seed):
     cost = build_cost(u, Y)
     plan, duals = solve_mk(cost, u.domain, Y)
     assert exact_gap(plan, duals, cost) == 0
+
+
+# verify judges the inclusion gap and the objective by absolute or
+# unit-floored bounds, so below these scales it certifies a suboptimal plan
+# (ROADMAP item 4)
+VERIFY_CERTIFIES_SUBOPTIMAL = range(-20, -15)
+
+
+def shuffled_verify_case(tmp_path, scale):
+    """TestVerify's 5-point 1-D instance with coordinates and values times
+    ``scale``: factorize it, roll the optimal plan's columns by one, and
+    verify the rolled plan against the factorize result's psi.
+
+    Returns verify's exit code and the rolled plan's exact suboptimality:
+    its exact primal value minus that of an optimal plan whose exact gap is 0.
+    """
+    rng = np.random.default_rng(4)
+    n = 5
+    coords = (scale * rng.normal(size=(n, 1))).tolist()
+    values = (scale * rng.normal(size=(n, 1))).tolist()
+    u_path, y_path = tmp_path / "u.json", tmp_path / "Y.json"
+    write(u_path, json.dumps({"measure": measure_doc([1 / n] * n, prefix="x"), "values": values}))
+    write(y_path, json.dumps(measure_doc([1 / n] * n, coords)))
+    result = tmp_path / "result.json"
+    assert main(["factorize", "--u", str(u_path), "--Y", str(y_path), "--out", str(result)]) == 0
+    triplets = json.loads(result.read_text())["plan"]["triplets"]
+    cols = [t["j"] for t in triplets]
+    for t, j in zip(triplets, cols[1:] + cols[:1]):
+        t["j"] = j
+    plan_path = tmp_path / "rolled.json"
+    write(plan_path, json.dumps({"triplets": triplets}))
+    code = main(["verify", "--u", str(u_path), "--Y", str(y_path),
+                 "--plan", str(plan_path), "--psi", str(result)])
+
+    u, Y = io.read_sampled_map(str(u_path)), io.read_measure(str(y_path))
+    cost = build_cost(u, Y)
+    plan, duals = solve_mk(cost, u.domain, Y)
+    # a zero exact gap makes the dual bound the exact optimum
+    assert exact_gap(plan, duals, cost) == 0
+    rolled = io.read_plan(str(plan_path), u.domain, Y)
+    return code, exact_gap(rolled, duals, cost)
+
+
+@pytest.mark.parametrize("k", [
+    pytest.param(k, marks=pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 4: verify certifies a suboptimal plan at small scales"))
+    if k in VERIFY_CERTIFIES_SUBOPTIMAL else k
+    for k in range(-20, 21)
+])
+def test_verify_rejects_a_suboptimal_plan_at_power_of_two_scale(tmp_path, capsys, k):
+    code, suboptimality = shuffled_verify_case(tmp_path, 2.0**k)
+    assert suboptimality > 0
+    assert code != 0, capsys.readouterr().err

@@ -1,9 +1,10 @@
-"""Time the transport solve of two source trees against each other.
+"""Time the transport solve or the value-law pipeline of two source trees.
 
-    python3 tools/bench_solve.py OLD_SRC NEW_SRC [OUT]
+    python3 tools/bench_solve.py [--suite pricing|value_law] OLD_SRC NEW_SRC [OUT]
 
 Loads the ``polarfact`` package of each tree under its own module name and
-times, alternating old and new in this one process:
+times, alternating old and new in this one process.  The ``pricing`` suite
+(the default) times:
 
 - ``build_cost`` + ``solve_mk`` on random 2-D instances of 80, 400 and 800
   points per side, uniform and weighted, drawn from ``default_rng(0)``:
@@ -14,10 +15,19 @@ times, alternating old and new in this one process:
   instances at N=24 (576 points per side).
 
 Every pair of calls must return byte-identical plans and duals, or the run
-stops with an error.  The medians, their ratio, the pivot counts of the new
-tree's solver (with its full and partial pricing passes, when it counts
-them) and the layer the change is meant to move go to OUT (default
-``BENCH_pricing.json``).  BLAS is held to one thread.
+stops with an error.  The pivot counts of the new tree's solver (with its
+full and partial pricing passes, when it counts them) go with its medians.
+
+The ``value_law`` suite times the monotone-1d pipeline: strict
+``monotone_rearrangement``, then ``value_law`` of its output, the heavy
+designation of its shared values, ``construct_m_to_1(., 3)`` and
+``multiplicity_report``, over a batch of instances per repeat: the first
+uniform-target (n=44) and split-target (n=22) instances of perfbench's
+monotone-1d workload at seed 0.  Each pair must return byte-identical
+rearranged values, potentials and block values.
+
+The medians, their ratio and the layer the change is meant to move go to
+OUT (default ``BENCH_<suite>.json``).  BLAS is held to one thread.
 """
 
 from __future__ import annotations
@@ -26,6 +36,7 @@ import os
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
+import argparse
 import hashlib
 import importlib.util
 import json
@@ -41,7 +52,12 @@ REPEATS = {80: 21, 400: 5, 800: 3}
 GALLERY = ("flat-segment", "injective-control")
 GALLERY_N = 24
 GALLERY_REPEATS = 3
-LAYER = "pricing"
+MONOTONE_SIZES = {"uniform": 44, "split": 22}
+MONOTONE_SEED = 0
+MONOTONE_BATCH = 60
+MONOTONE_REPEATS = 21
+BLOCK_FACTOR = 3
+LAYERS = {"pricing": "pricing", "value_law": "measures.value_law"}
 
 
 def load(src: str, alias: str):
@@ -56,8 +72,8 @@ def load(src: str, alias: str):
     return module
 
 
-def source_digest(lib) -> str:
-    with open(lib.transport.__file__, "rb") as fh:
+def source_digest(module) -> str:
+    with open(module.__file__, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()[:16]
 
 
@@ -74,6 +90,42 @@ def random_2d(lib, n: int, weighted: bool):
     X = measure(tuple(f"x{i}" for i in range(n)), wa)
     Y = measure(tuple(f"y{j}" for j in range(n)), wb, sites)
     return lib.SampledMap(X, values), Y
+
+
+def monotone_1d(lib, i: int):
+    """Instance i of perfbench's monotone-1d workload: even i have a uniform
+    target, odd i a split one."""
+    rng = np.random.default_rng([MONOTONE_SEED, i])
+    if i % 2 == 0:
+        n = MONOTONE_SIZES["uniform"]
+        weights = np.full(n, 1.0 / n)
+    else:
+        n = MONOTONE_SIZES["split"]
+        # site weights that sum to each value's mass in turn
+        counts = rng.integers(1, 4, n)
+        parts = rng.uniform(0.5, 1.5, counts.sum())
+        starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+        weights = parts / np.repeat(np.add.reduceat(parts, starts), counts) / n
+
+    def measure(prefix, w, coords=None):
+        return lib.DiscreteMeasure(tuple(f"{prefix}{k}" for k in range(len(w))), w, coords)
+
+    u = lib.SampledMap(measure("x", np.full(n, 1.0 / n)), rng.uniform(-1, 1, n))
+    sites = np.sort(rng.uniform(-1, 1, weights.size))[:, None]
+    return u, measure("y", weights / weights.sum(), sites)
+
+
+def monotone_op(lib, batch) -> bytes:
+    out = []
+    for u, Y in batch:
+        u_sharp, psi = lib.monotone_rearrangement(u, Y)
+        law = lib.value_law(u_sharp)
+        shared = [law.values[k] for k in range(law.n_atoms) if len(law.members[k]) > 1]
+        heavy = lib.HeavyAtoms(np.asarray(shared)) if shared else None
+        block = lib.construct_m_to_1(u_sharp, BLOCK_FACTOR, heavy)
+        report = lib.multiplicity_report(block, heavy)
+        out += [u_sharp.values, psi.psi_values, block.values, report.masses, report.point_counts]
+    return b"".join(a.tobytes() for a in out)
 
 
 def fingerprint(plan, duals) -> bytes:
@@ -112,18 +164,13 @@ def paired(name, repeats, ops) -> dict:
             out[side] = ops[side]()
             times[side].append(time.perf_counter() - t0)
         if out["old"] != out["new"]:
-            raise SystemExit(f"{name}: plans or duals differ between the trees")
+            raise SystemExit(f"{name}: outputs differ between the trees")
     old, new = statistics.median(times["old"]), statistics.median(times["new"])
     print(f"{name}: old {old:.4f} s, new {new:.4f} s, ratio {new / old:.3f}", flush=True)
     return {"old_s": old, "new_s": new, "ratio": new / old, "repeats": repeats}
 
 
-def main(argv) -> int:
-    if len(argv) not in (3, 4):
-        print(__doc__, file=sys.stderr)
-        return 2
-    out_path = argv[3] if len(argv) == 4 else "BENCH_pricing.json"
-    libs = {"old": load(argv[1], "polarfact_old"), "new": load(argv[2], "polarfact_new")}
+def pricing_suite(libs) -> dict:
     results = {}
     for n in SIZES:
         for weighted in (False, True):
@@ -138,12 +185,42 @@ def main(argv) -> int:
         ops = {s: (lambda s=s: factorize_op(libs[s], *inst[s])) for s in libs}
         results[name] = {**paired(name, GALLERY_REPEATS, ops),
                          **pivot_counts(libs["new"], *inst["new"])}
+    return results
+
+
+def value_law_suite(libs) -> dict:
+    # a batch of distinct instances per repeat, so no repeat finds the laws
+    # of the one before it in a law cache
+    results = {}
+    for parity, (case, n) in enumerate(MONOTONE_SIZES.items()):
+        name = f"monotone-1d {case} n={n}, {MONOTONE_BATCH} ops"
+        indices = range(parity, 2 * MONOTONE_BATCH, 2)
+        batch = {s: [monotone_1d(libs[s], i) for i in indices] for s in libs}
+        ops = {s: (lambda s=s: monotone_op(libs[s], batch[s])) for s in libs}
+        results[name] = paired(name, MONOTONE_REPEATS, ops)
+    return results
+
+
+def main(argv) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--suite", choices=sorted(LAYERS), default="pricing")
+    parser.add_argument("old_src")
+    parser.add_argument("new_src")
+    parser.add_argument("out", nargs="?")
+    args = parser.parse_args(argv[1:])
+    out_path = args.out or f"BENCH_{args.suite}.json"
+    libs = {"old": load(args.old_src, "polarfact_old"),
+            "new": load(args.new_src, "polarfact_new")}
+    if args.suite == "pricing":
+        results, module = pricing_suite(libs), "transport"
+    else:
+        results, module = value_law_suite(libs), "measures"
     record = {
-        "layer": LAYER,
+        "layer": LAYERS[args.suite],
         "harness": "tools/bench_solve.py: paired medians in one process, old and new alternating",
-        # the trees, named by the digest of their solver module
-        "old_transport_sha256": source_digest(libs["old"]),
-        "new_transport_sha256": source_digest(libs["new"]),
+        # the trees, named by the digest of the module that holds the layer
+        f"old_{module}_sha256": source_digest(getattr(libs["old"], module)),
+        f"new_{module}_sha256": source_digest(getattr(libs["new"], module)),
         "python": platform.python_version(),
         "numpy": np.__version__,
         "nproc": os.cpu_count(),
