@@ -242,9 +242,8 @@ def read_heavy(path: str) -> HeavyAtoms:
     else:
         values = doc.get("values", [])
         tol = _number(doc.get("match_tolerance", 0.0), "match_tolerance")
-    if not values:
-        return HeavyAtoms.none()
-    return HeavyAtoms(_numbers(values, "heavy value"), tol)
+    # an empty designation list still has its tolerance checked
+    return HeavyAtoms(_numbers(values, "heavy value") if values else np.empty((0, 1)), tol)
 
 
 def heavy_to_dict(heavy: HeavyAtoms) -> dict:

@@ -196,8 +196,12 @@ def verify_optimality_of_inclusion(
     u: SampledMap,
     tol: float = DEFAULT_TOL,
 ) -> bool:
-    """Confirm by an independent re-solve that a certified inclusion plan is
-    optimal, and that its gap-weighted objective vanishes."""
+    """Confirm against the optimum of ``solve_mk`` that a certified
+    inclusion plan is optimal, and that its gap-weighted objective vanishes.
+
+    Inside ``transport.reusing_solves`` that optimum may be the block's
+    solution of the same instance, certified again for this call.
+    """
     gaps = _support_gaps(pi, psi, u)
     max_gap = float(np.max(gaps, initial=0.0))
     if not max_gap <= tol:

@@ -1,10 +1,11 @@
+import contextlib
 import json
 import os
 
 import numpy as np
 import pytest
 
-from polarfact import cli, io, transport
+from polarfact import cli, io, polar, transport
 from polarfact.cli import main
 from polarfact.errors import SplitAtomError
 from polarfact.measures import DiscreteMeasure, SampledMap
@@ -245,12 +246,17 @@ class TestRearrange:
             f"error: heavy values must be 1-D or 2-D, got {rank}-D\n"
         )
 
-    @pytest.mark.parametrize("tol", [-1.0, float("nan")])
-    def test_invalid_match_tolerance_exits_2_naming_it(self, tmp_path, capsys, tol):
-        # 0.0 is an atom of the map, so the message must blame the tolerance
+    @pytest.mark.parametrize(
+        "tol, values",
+        [(-1.0, [[0.0]]), (float("nan"), [[0.0]]), (-1.0, []), (float("nan"), [])],
+        ids=["-1.0", "nan", "-1.0-no-values", "nan-no-values"],
+    )
+    def test_invalid_match_tolerance_exits_2_naming_it(self, tmp_path, capsys, tol, values):
+        # 0.0 is an atom of the map, so the message must blame the tolerance;
+        # with no value designated the tolerance is still checked
         u_path = self._v_files(tmp_path)
         heavy_path = tmp_path / "heavy.json"
-        write(heavy_path, json.dumps({"match_tolerance": tol, "values": [[0.0]]}))
+        write(heavy_path, json.dumps({"match_tolerance": tol, "values": values}))
         assert main(["rearrange", "--u", u_path, "--m", "2", "--heavy", str(heavy_path)]) == 2
         err = capsys.readouterr().err
         assert "match_tolerance" in err
@@ -328,6 +334,55 @@ class TestGallery:
 
     def test_odd_grid_exits_2(self):
         assert main(["gallery", "--name", "flat-segment", "--grid", "7"]) == 2
+
+
+class TestVerifySolvesOnce:
+    """gallery, factorize and verify on one instance make four solve_mk
+    calls; verify's two share one simplex computation."""
+
+    @staticmethod
+    def run(out_dir):
+        u, Y, fac = (str(out_dir / f) for f in ("u.json", "Y.json", "factorize.json"))
+        codes = [
+            main(["gallery", "--name", "flat-segment", "--grid", "8", "--seed", "3",
+                  "--out", str(out_dir)]),
+            main(["factorize", "--u", u, "--Y", Y, "--out", fac]),
+            main(["verify", "--u", u, "--Y", Y, "--plan", fac, "--psi", fac,
+                  "--out", str(out_dir / "verify.json")]),
+        ]
+        assert codes == [0, 0, 0]
+        return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+
+    def test_four_solves_three_simplex_runs(self, tmp_path, monkeypatch, caplog):
+        calls, runs = [], []
+        for module in (cli, polar):
+            def counted(*args, _solve=module.solve_mk):
+                calls.append(1)
+                return _solve(*args)
+
+            monkeypatch.setattr(module, "solve_mk", counted)
+        simplex = transport._Simplex.solve
+
+        def counted_simplex(self, order=None):
+            runs.append(1)
+            return simplex(self, order)
+
+        monkeypatch.setattr(transport._Simplex, "solve", counted_simplex)
+        with caplog.at_level("DEBUG", logger="polarfact"):
+            self.run(tmp_path / "a")
+        assert len(calls) == 4 and len(runs) == 3
+        lines = [r.getMessage() for r in caplog.records if r.name == "polarfact"]
+        assert len(lines) == 4 and all("pivots" in line for line in lines[:3])
+        assert lines[3] == "solve_mk 64x64: reused the solution of an identical instance"
+
+    def test_files_match_a_run_that_solves_every_time(self, tmp_path, monkeypatch):
+        reused = self.run(tmp_path / "a")
+        monkeypatch.setattr(cli, "reusing_solves", contextlib.nullcontext)
+        fresh = self.run(tmp_path / "b")
+        assert set(reused) == {"u.json", "Y.json", "heavy.json", "report.json",
+                               "factorize.json", "verify.json"}
+        # the files name no directory, so the two runs must agree byte for byte
+        assert reused == fresh
 
 
 class TestVerify:

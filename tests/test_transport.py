@@ -1,11 +1,13 @@
 import hashlib
+import sys
+import threading
 from collections import deque
 
 import numpy as np
 import pytest
 
 from polarfact import transport
-from polarfact.convex import ConvexPotential
+from polarfact.convex import ConvexPotential, DualPair
 from polarfact.errors import (
     DimensionMismatchError,
     MarginalMismatchError,
@@ -25,6 +27,7 @@ from polarfact.transport import (
     duality_certificate,
     objective,
     random_plan,
+    reusing_solves,
     shifted_objective,
     solve_mk,
     worst_cycle_violation,
@@ -331,6 +334,188 @@ class TestSolveMK:
         monkeypatch.setattr(transport, "_strictify_duals", shifted)
         with pytest.raises(NumericalFailureError, match="duals violate a cost constraint"):
             solve_mk(build_cost(u, Y), u.domain, Y)
+
+
+def fingerprint(plan, duals) -> bytes:
+    return b"".join(a.tobytes() for a in (plan.rows, plan.cols, plan.masses,
+                                          duals.phi_c, duals.phi))
+
+
+def copied_instance(u, Y, cost, prefix="c"):
+    """Equal content in new objects: the measures under new labels, the
+    cost entries and the sort orders copied."""
+    X2 = DiscreteMeasure(tuple(f"{prefix}x{i}" for i in range(u.size)), u.domain.weights.copy())
+    Y2 = DiscreteMeasure(tuple(f"{prefix}y{j}" for j in range(Y.size)), Y.weights.copy(),
+                         Y.coords.copy())
+    order = None if cost.order is None else tuple(o.copy() for o in cost.order)
+    return CostMatrix(cost.entries.copy(), X2, Y2, order), X2, Y2
+
+
+class TestReusingSolves:
+    @pytest.fixture
+    def simplex_runs(self, monkeypatch):
+        """The list of simplex computations made while the test runs."""
+        runs = []
+        solve = _Simplex.solve
+
+        def counted(self, order=None):
+            runs.append(self.C.shape)
+            return solve(self, order)
+
+        monkeypatch.setattr(_Simplex, "solve", counted)
+        return runs
+
+    def test_equal_content_from_new_objects_computes_once(self, simplex_runs):
+        u, Y = random_instance(np.random.default_rng(31), 7, 9, uniform_weights=False)
+        cost = build_cost(u, Y)
+        cost2, X2, Y2 = copied_instance(u, Y, cost)
+        with reusing_solves():
+            first = solve_mk(cost, u.domain, Y)
+            second = solve_mk(cost2, X2, Y2)
+        assert len(simplex_runs) == 1
+        fresh = solve_mk(cost2, X2, Y2)
+        assert len(simplex_runs) == 2
+        assert fingerprint(*first) == fingerprint(*second) == fingerprint(*fresh)
+
+    def test_outside_a_block_every_call_solves(self, simplex_runs):
+        u, Y = random_instance(np.random.default_rng(30), 6, 6)
+        cost = build_cost(u, Y)
+        with reusing_solves():
+            solve_mk(cost, u.domain, Y)
+        assert transport._reuse.get() is None
+        for _ in range(2):
+            solve_mk(cost, u.domain, Y)
+        assert len(simplex_runs) == 3
+
+    @pytest.mark.parametrize("change", ["entry", "source weight", "target weight", "no order"])
+    def test_changed_content_solves_afresh(self, simplex_runs, change):
+        u = SampledMap(uniform(5), np.array([[3.0], [1.0], [4.0], [1.5], [5.0]]))
+        Y = line_sites([2.0, 7.0, 1.0, 8.0, 2.5])
+        cost = build_cost(u, Y)
+        X, entries, order = u.domain, cost.entries.copy(), cost.order
+        if change == "entry":
+            entries[2, 3] += 1e-3
+        elif change == "source weight":
+            w = X.weights.copy()
+            w[0], w[1] = w[0] + 1e-3, w[1] - 1e-3
+            X = DiscreteMeasure(X.labels, w)
+        elif change == "target weight":
+            w = Y.weights.copy()
+            w[3], w[4] = w[3] - 1e-3, w[4] + 1e-3
+            Y = DiscreteMeasure(Y.labels, w, Y.coords)
+        else:
+            order = None
+        changed = CostMatrix(entries, X, Y, order)
+        with reusing_solves():
+            solve_mk(cost, u.domain, cost.nu)
+            plan, duals = solve_mk(changed, X, Y)
+        assert len(simplex_runs) == 2
+        assert fingerprint(plan, duals) == fingerprint(*solve_mk(changed, X, Y))
+
+    def test_writes_into_returned_arrays_do_not_reach_the_next_result(self, simplex_runs):
+        u, Y = random_instance(np.random.default_rng(32), 6, 6)
+        cost = build_cost(u, Y)
+        with reusing_solves():
+            plan, duals = solve_mk(cost, u.domain, Y)
+            want = fingerprint(plan, duals)
+            for a in (plan.rows, plan.cols, plan.masses, duals.phi_c, duals.phi):
+                a[:] = 7
+            assert fingerprint(*solve_mk(cost, u.domain, Y)) == want
+        assert len(simplex_runs) == 1
+
+    def test_results_reference_the_callers_objects(self, simplex_runs):
+        u, Y = random_instance(np.random.default_rng(33), 5, 4, uniform_weights=False)
+        cost = build_cost(u, Y)
+        cost2, X2, Y2 = copied_instance(u, Y, cost)
+        with reusing_solves():
+            solve_mk(cost, u.domain, Y)
+            plan, duals = solve_mk(cost2, X2, Y2)
+        assert len(simplex_runs) == 1
+        assert plan.mu is X2 and plan.nu is Y2 and duals.cost_ref is cost2
+
+    def test_every_call_certifies_its_result(self, simplex_runs, monkeypatch):
+        calls = {"gap": 0, "feasibility": 0}
+        certificate = transport.duality_certificate
+        violation = DualPair.max_feasibility_violation
+
+        def counted_certificate(*args):
+            calls["gap"] += 1
+            return certificate(*args)
+
+        def counted_violation(self):
+            calls["feasibility"] += 1
+            return violation(self)
+
+        monkeypatch.setattr(transport, "duality_certificate", counted_certificate)
+        monkeypatch.setattr(DualPair, "max_feasibility_violation", counted_violation)
+        u, Y = random_instance(np.random.default_rng(34), 6, 7)
+        cost = build_cost(u, Y)
+        with reusing_solves():
+            for _ in range(3):
+                solve_mk(cost, u.domain, Y)
+        assert len(simplex_runs) == 1
+        assert calls == {"gap": 3, "feasibility": 3}
+
+    def test_refused_solution_is_not_kept(self, simplex_runs, monkeypatch):
+        strictify = transport._strictify_duals
+
+        def infeasible(*args):
+            alpha, beta = strictify(*args)
+            return alpha + 1.0, beta
+
+        u, Y = random_instance(np.random.default_rng(35), 6, 6)
+        cost = build_cost(u, Y)
+        with reusing_solves():
+            monkeypatch.setattr(transport, "_strictify_duals", infeasible)
+            with pytest.raises(NumericalFailureError):
+                solve_mk(cost, u.domain, Y)
+            assert transport._reuse.get() == [None, None]
+            monkeypatch.setattr(transport, "_strictify_duals", strictify)
+            solve_mk(cost, u.domain, Y)
+        assert len(simplex_runs) == 2
+
+    def test_only_the_last_instance_is_kept(self, simplex_runs):
+        rng = np.random.default_rng(36)
+        a, b = ((build_cost(u, Y), u.domain, Y)
+                for u, Y in (random_instance(rng, 5, 5) for _ in range(2)))
+        with reusing_solves():
+            solve_mk(*a), solve_mk(*a), solve_mk(*b), solve_mk(*a)
+        assert len(simplex_runs) == 3
+
+    def test_threads_keep_blocks_of_their_own(self, simplex_runs):
+        rng = np.random.default_rng(37)
+        instances = []
+        for k in range(3):
+            u, Y = random_instance(rng, 8, 8, uniform_weights=k % 2 == 1)
+            instances.append((build_cost(u, Y), u.domain, Y))
+        want = [fingerprint(*solve_mk(*inst)) for inst in instances]
+        wrong, errors = [], []
+
+        def work(t):
+            try:
+                with reusing_solves():
+                    # each instance twice in a row: the second call reuses
+                    for r in range(12):
+                        k = (t + r // 2) % 3
+                        if fingerprint(*solve_mk(*instances[k])) != want[k]:
+                            wrong.append((t, r))
+            except Exception as exc:  # pragma: no cover - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with reusing_solves():
+                threads = [threading.Thread(target=work, args=(t,)) for t in range(6)]
+                for th in threads:
+                    th.start()
+                for th in threads:
+                    th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert errors == [] and wrong == []
+        assert len(simplex_runs) == 3 + 6 * 6
 
 
 def one_d_split_instance(rng, n):

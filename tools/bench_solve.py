@@ -1,6 +1,6 @@
-"""Time the transport solve or the value-law pipeline of two source trees.
+"""Time the transport solve, the value-law pipeline or the CLI pipeline of two source trees.
 
-    python3 tools/bench_solve.py [--suite pricing|value_law] OLD_SRC NEW_SRC [OUT]
+    python3 tools/bench_solve.py [--suite pricing|value_law|solve_cache] OLD_SRC NEW_SRC [OUT]
 
 Loads the ``polarfact`` package of each tree under its own module name and
 times, alternating old and new in this one process.  The ``pricing`` suite
@@ -26,6 +26,13 @@ uniform-target (n=44) and split-target (n=22) instances of perfbench's
 monotone-1d workload at seed 0.  Each pair must return byte-identical
 rearranged values, potentials and block values.
 
+The ``solve_cache`` suite times the gallery-cli pipeline: in-process
+``gallery``, ``factorize`` and ``verify`` at N=8 on the three gallery
+families at gallery seeds 0-3, twelve instances per repeat, each tree
+writing into its own temporary directory.  Each pair must give the same
+exit codes and byte-identical files, and each tree's simplex
+computations per instance go with the medians.
+
 The medians, their ratio and the layer the change is meant to move go to
 OUT (default ``BENCH_<suite>.json``).  BLAS is held to one thread.
 """
@@ -37,12 +44,16 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse
+import contextlib
 import hashlib
+import importlib
 import importlib.util
+import io
 import json
 import platform
 import statistics
 import sys
+import tempfile
 import time
 
 import numpy as np
@@ -57,7 +68,11 @@ MONOTONE_SEED = 0
 MONOTONE_BATCH = 60
 MONOTONE_REPEATS = 21
 BLOCK_FACTOR = 3
-LAYERS = {"pricing": "pricing", "value_law": "measures.value_law"}
+PIPELINE_GRID = 8
+PIPELINE_SEEDS = range(4)
+PIPELINE_REPEATS = 11
+LAYERS = {"pricing": "pricing", "value_law": "measures.value_law",
+          "solve_cache": "transport.solve_mk"}
 
 
 def load(src: str, alias: str):
@@ -201,6 +216,58 @@ def value_law_suite(libs) -> dict:
     return results
 
 
+def pipeline_op(lib, out_root: str) -> bytes:
+    """gallery, factorize and verify on every pipeline instance; returns
+    the exit codes and the bytes of every file written, in order."""
+    cli = importlib.import_module(lib.__name__ + ".cli")
+    out = []
+    for seed in PIPELINE_SEEDS:
+        for family in lib.polar.GALLERY_NAMES:
+            d = os.path.join(out_root, f"{family}-{seed}")
+            u, Y, fac = (os.path.join(d, f) for f in ("u.json", "Y.json", "factorize.json"))
+            with contextlib.redirect_stderr(io.StringIO()):
+                codes = (
+                    cli.main(["gallery", "--name", family, "--grid", str(PIPELINE_GRID),
+                              "--seed", str(seed), "--out", d]),
+                    cli.main(["factorize", "--u", u, "--Y", Y, "--out", fac]),
+                    cli.main(["verify", "--u", u, "--Y", Y, "--plan", fac, "--psi", fac,
+                              "--out", os.path.join(d, "verify.json")]),
+                )
+            out.append(repr(codes).encode())
+            for name in sorted(os.listdir(d)):
+                with open(os.path.join(d, name), "rb") as fh:
+                    out += [name.encode(), fh.read()]
+    return b"\0".join(out)
+
+
+def simplex_runs(lib, out_root: str) -> float:
+    """Simplex computations per pipeline instance, from one untimed op."""
+    simplex = lib.transport._Simplex
+    solve, runs = simplex.solve, []
+
+    def counted(self, order=None):
+        runs.append(1)
+        return solve(self, order)
+
+    simplex.solve = counted
+    try:
+        pipeline_op(lib, out_root)
+    finally:
+        simplex.solve = solve
+    return len(runs) / (len(PIPELINE_SEEDS) * len(lib.polar.GALLERY_NAMES))
+
+
+def solve_cache_suite(libs) -> dict:
+    name = (f"gallery+factorize+verify N={PIPELINE_GRID}, "
+            f"{len(PIPELINE_SEEDS) * 3} instances")
+    with tempfile.TemporaryDirectory() as tmp:
+        roots = {s: os.path.join(tmp, s) for s in libs}
+        ops = {s: (lambda s=s: pipeline_op(libs[s], roots[s])) for s in libs}
+        result = paired(name, PIPELINE_REPEATS, ops)
+        result["simplex_runs_per_instance"] = {s: simplex_runs(libs[s], roots[s]) for s in libs}
+    return {name: result}
+
+
 def main(argv) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--suite", choices=sorted(LAYERS), default="pricing")
@@ -213,8 +280,10 @@ def main(argv) -> int:
             "new": load(args.new_src, "polarfact_new")}
     if args.suite == "pricing":
         results, module = pricing_suite(libs), "transport"
-    else:
+    elif args.suite == "value_law":
         results, module = value_law_suite(libs), "measures"
+    else:
+        results, module = solve_cache_suite(libs), "transport"
     record = {
         "layer": LAYERS[args.suite],
         "harness": "tools/bench_solve.py: paired medians in one process, old and new alternating",
