@@ -13,7 +13,7 @@ identical inputs; ties resolve to the lowest site index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,20 +50,29 @@ class DualPair:
     """A conjugate c-concave pair: phi_c sampled on X, phi sampled on Y.
 
     ``cost_ref`` is the cost matrix the pair is conjugate for (any object
-    with an ``entries`` array of shape (|X|, |Y|)).
+    with an ``entries`` array of shape (|X|, |Y|)).  phi_c and phi are
+    read-only copies, so the reduced costs, built once, stay theirs.
     """
 
     phi_c: np.ndarray
     phi: np.ndarray
     cost_ref: object = None
+    _reduced: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "phi_c", np.asarray(self.phi_c, dtype=float).reshape(-1))
-        object.__setattr__(self, "phi", np.asarray(self.phi, dtype=float).reshape(-1))
+        for name in ("phi_c", "phi"):
+            v = np.array(getattr(self, name), dtype=float).reshape(-1)
+            v.flags.writeable = False
+            object.__setattr__(self, name, v)
 
     def reduced_costs(self) -> np.ndarray:
-        """(c - phi_c) - phi, with the simplex's pricing subtractions in its order."""
-        return self.cost_ref.entries - self.phi_c[:, None] - self.phi[None, :]
+        """(c - phi_c) - phi in the simplex's pricing order; built once, read-only."""
+        if self._reduced is None:
+            r = self.cost_ref.entries - self.phi_c[:, None]
+            r -= self.phi
+            r.flags.writeable = False
+            object.__setattr__(self, "_reduced", r)
+        return self._reduced
 
     def max_feasibility_violation(self) -> float:
         """max over (i, j) of phi_c[i] + phi[j] - c[i, j]; <= 0 means feasible."""

@@ -234,6 +234,8 @@ def value_law(map: SampledMap, cluster_tol: float = 0.0) -> ValueLaw:
     if cluster_tol < 0:
         raise ValueError("cluster_tol must be >= 0")
     vals, w = map.values, map.domain.weights
+    if cluster_tol and float(np.max(np.abs(vals), initial=0.0)) / cluster_tol == np.inf:
+        raise ValueError(f"cluster_tol {cluster_tol!r} is too small: values / cluster_tol overflow")
     key = (cluster_tol, vals.shape, vals.tobytes(), w.tobytes())
     with _laws_lock:
         law = _laws.pop(key, None)

@@ -38,7 +38,6 @@ from .tolerances import (
     DEFAULT_TOL,
     dominant,
     gap_vanishes,
-    solver_tol,
     sums_match,
     within_optimum,
 )
@@ -127,24 +126,23 @@ def polar_factorize(u: SampledMap, Y: DiscreteMeasure) -> PolarResult:
     Both certificates read the duals' reduced costs R, which hold no |y|^2
     term: a support cell's Fenchel gap is its R above its row minimum, and
     the conjugate identity asks each row minimum to be 0.  Both hold at any
-    optimum, so each is judged by the solver's own ``solver_tol`` of the
-    cost, and a failure is a solver defect, not a property of the instance.
+    optimum, so each is judged by the solver's own tolerance, ``cost.tol``,
+    and a failure is a solver defect, not a property of the instance.
     """
     cost = build_cost(u, Y)
     plan, duals = solve_mk(cost, u.domain, Y)
     psi = ConvexPotential(Y, 0.5 * np.sum(Y.coords * Y.coords, axis=1) - duals.phi)
 
-    tol = solver_tol(cost.entries)
-    reduced = duals.reduced_costs()
+    reduced = duals.reduced_costs()  # the R solve_mk checked feasibility on
     row_min = reduced.min(axis=1)
     max_gap = float(np.max(reduced[plan.rows, plan.cols] - row_min[plan.rows], initial=0.0))
-    if not max_gap <= tol:
+    if not max_gap <= cost.tol:
         raise NumericalFailureError(
             f"inclusion certificate failed at optimality: max gap {max_gap!r}"
         )
     # psi*(u_i) = |u_i|^2/2 - phi_c_i - min_k R_ik: row minima are the identity's residuals
     identity_err = float(np.max(np.abs(row_min)))
-    if not identity_err <= tol:
+    if not identity_err <= cost.tol:
         raise NumericalFailureError(
             f"conjugate identity violated by {identity_err!r} at some source point"
         )
@@ -232,7 +230,7 @@ def degeneracy_report(plan: TransportPlan, duals: DualPair, cost: CostMatrix) ->
     with genuinely split plan mass (split); split <= degeneracy always.
 
     A target is optimal for a row when its reduced cost is zero by the
-    solver's own test, ``|reduced| <= solver_tol``.  Requires the
+    solver's own test, ``|reduced| <= cost.tol``.  Requires the
     zero-duality-gap certificate of the pair, since reduced costs are only
     meaningful against optimal duals.
     """
@@ -241,14 +239,13 @@ def degeneracy_report(plan: TransportPlan, duals: DualPair, cost: CostMatrix) ->
         raise CertificateMissingError(
             f"duality gap {cert['gap']!r} is not certified zero"
         )
-    tol = solver_tol(cost.entries)
     reduced = DualPair(duals.phi_c, duals.phi, cost).reduced_costs()
-    zero_counts = np.sum(np.abs(reduced) <= tol, axis=1).astype(int)
+    zero_counts = np.sum(np.abs(reduced) <= cost.tol, axis=1).astype(int)
     w = plan.mu.weights
     total = plan.mu.total_mass
     degeneracy = float(np.sum(w[zero_counts >= 2]) / total)
     split = float(np.sum(w[plan.support_per_row() >= 2]) / total)
-    return DegeneracyReport(zero_counts, degeneracy, split, tol)
+    return DegeneracyReport(zero_counts, degeneracy, split, cost.tol)
 
 
 # ---------------------------------------------------------------------------

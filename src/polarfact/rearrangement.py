@@ -33,7 +33,7 @@ from .measures import (
     ValueLaw,
     value_law,
 )
-from .tolerances import dominant, solver_tol
+from .tolerances import dominant
 from .transport import build_cost, solve_mk
 
 
@@ -243,7 +243,7 @@ def monotone_rearrangement(
     the certifying potential.
 
     Returns (u_sharp, psi) with u_sharp equimeasurable with u and a Fenchel
-    gap <= solver_tol at every site, read off the last solve's reduced costs.
+    gap <= the cost's tol at every site, read off the last solve's reduced costs.
     """
     if mode not in ("strict", "refine"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -274,10 +274,10 @@ def monotone_rearrangement(
     psi = ConvexPotential(target, psi_vals)
     u_sharp = SampledMap(target, values)
 
-    reduced = duals.reduced_costs()
+    reduced = duals.reduced_costs()  # the R solve_mk checked feasibility on
     row_min = reduced.min(axis=1)
     max_gap = float(np.max(reduced[best_row, np.arange(target.size)] - row_min[best_row]))
-    if not max_gap <= solver_tol(duals.cost_ref.entries):
+    if not max_gap <= duals.cost_ref.tol:
         raise NumericalFailureError(f"subdifferential certificate failed: max gap {max_gap!r}")
     if not value_law(u_sharp, cluster_tol).matches(law):
         raise NumericalFailureError("rearrangement output is not equimeasurable with input")

@@ -36,7 +36,9 @@ number of full and partial pricing passes.
 Duals are rooted at the first target site (phi(y_1) = 0) and recomputed
 exactly from the final tree, so complementary slackness holds to float
 precision on the support and the duality gap of the returned pair is zero
-up to accumulation error.
+up to accumulation error.  The tolerance is ``cost.tol``, computed once per
+``CostMatrix``; the ``DualPair`` holds read-only duals and builds their
+reduced costs once, for the feasibility check here and every certificate.
 
 Within a ``reusing_solves`` block, ``solve_mk`` keeps the last solution it
 certified, keyed by content: the shape and bytes of the cost entries, the
@@ -88,13 +90,15 @@ class CostMatrix:
     """Dense |X| x |Y| matrix of costs |u(x_i) - y_j|^2 / 2.
 
     ``order`` holds the stable sort orders of the values and of the sites
-    when both lie on a line (set by ``build_cost``), else None.
+    when both lie on a line (set by ``build_cost``), else None.  ``tol`` is
+    its ``solver_tol``, computed once for every solve and certificate.
     """
 
     entries: np.ndarray
     mu: DiscreteMeasure
     nu: DiscreteMeasure
     order: tuple | None = field(default=None, compare=False, repr=False)
+    tol: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         e = np.asarray(self.entries, dtype=float)
@@ -103,7 +107,8 @@ class CostMatrix:
             raise DimensionMismatchError(
                 f"cost shape {e.shape} vs measures ({self.mu.size}, {self.nu.size})"
             )
-        if not np.isfinite(e).all():
+        object.__setattr__(self, "tol", solver_tol(e))
+        if not np.isfinite(self.tol):
             # |u(x) - y|^2 / 2 overflows for coordinates beyond about 1e154
             raise DimensionMismatchError("non-finite cost entry: coordinates too large to square")
 
@@ -370,7 +375,7 @@ class _Simplex:
     and ``flow[v]`` is the mass on the basic cell joining v to its parent.
     """
 
-    def __init__(self, C: np.ndarray, a: np.ndarray, b: np.ndarray):
+    def __init__(self, C: np.ndarray, a: np.ndarray, b: np.ndarray, tol: float):
         self.C = C
         self.a = np.asarray(a, dtype=float)
         self.b = np.asarray(b, dtype=float)
@@ -380,7 +385,7 @@ class _Simplex:
         self.pot = np.zeros(self.m + self.n)
         self.alpha = self.pot[: self.m]
         self.beta = self.pot[self.m :]
-        self.tol = solver_tol(C)
+        self.tol = tol  # the pricing and zero-slack tolerance
         self.degenerate_pivots = 0
         # pricing writes the reduced costs into one buffer through views
         # made once here, and a pivot shifts duals item by item through a
@@ -687,9 +692,9 @@ def _solve_key(cost: CostMatrix, mu: DiscreteMeasure, nu: DiscreteMeasure) -> tu
 
 
 def _simplex_solution(cost: CostMatrix, mu: DiscreteMeasure, nu: DiscreteMeasure) -> tuple:
-    """Rows, columns and masses of the optimal plan, the strictified duals
-    alpha and beta, and the solver's tolerance."""
-    sx = _Simplex(cost.entries, mu.weights, nu.weights)
+    """Rows, columns and masses of the optimal plan, and the strictified
+    duals alpha and beta."""
+    sx = _Simplex(cost.entries, mu.weights, nu.weights, cost.tol)
     pivots = sx.solve(cost.order)
     _log.debug(
         "solve_mk %dx%d: %d pivots (%d degenerate) from the %s start; "
@@ -701,10 +706,8 @@ def _simplex_solution(cost: CostMatrix, mu: DiscreteMeasure, nu: DiscreteMeasure
     rows, cols, masses = sx.plan_triplets()
     # the pricing buffer holds the reduced costs of the current duals after
     # every pricing pass, full or partial, and solve returns right after one
-    alpha, beta = _strictify_duals(
-        rows, cols, sx._reduced, sx.alpha.copy(), sx.beta.copy(), sx.tol
-    )
-    return (rows, cols, masses, alpha, beta), sx.tol
+    alpha, beta = _strictify_duals(rows, cols, sx._reduced, sx.alpha, sx.beta, sx.tol)
+    return rows, cols, masses, alpha, beta
 
 
 def solve_mk(cost: CostMatrix, mu: DiscreteMeasure, nu: DiscreteMeasure):
@@ -727,17 +730,15 @@ def solve_mk(cost: CostMatrix, mu: DiscreteMeasure, nu: DiscreteMeasure):
         _log.debug("solve_mk %dx%d: reused the solution of an identical instance", *cost.shape)
     else:
         solution = _simplex_solution(cost, mu, nu)
-    arrays, tol = solution
-    # copies: the caller may write into its plan and duals
-    rows, cols, masses, alpha, beta = (a.copy() for a in arrays)
-    plan = TransportPlan(rows, cols, masses, mu, nu)
-    duals = DualPair(alpha, beta, cost)
+    # copies: the caller may write into its plan; the dual pair copies its own
+    plan = TransportPlan(*(a.copy() for a in solution[:3]), mu, nu)
+    duals = DualPair(*solution[3:], cost)
     cert = duality_certificate(plan, duals, cost)
     if not gap_vanishes(cert["gap"], cert["I"]):
         raise NumericalFailureError(f"duality gap {cert['gap']!r} exceeds tolerance")
     # a zero gap proves optimality only for feasible duals
     violation = duals.max_feasibility_violation()
-    if not violation <= tol:
+    if not violation <= cost.tol:
         raise NumericalFailureError(f"duals violate a cost constraint by {violation!r}")
     if kept is not None:
         kept[:] = key, solution

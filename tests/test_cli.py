@@ -517,6 +517,23 @@ class TestValidation:
         assert main([command, "--u", u_path, *target, "--cluster-tol", value]) == 2
         assert f"error: cluster tolerance {message}\n" == capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["rearrange", "monotone"])
+    def test_cluster_tol_that_overflows_the_values_exits_2(self, tmp_path, capsys, command):
+        # 1e-310 is subnormal: values / cluster_tol overflowed, and monotone
+        # once exited 0 with every value written as 1.0
+        u_path, y_path, out = tmp_path / "u.json", tmp_path / "Y.json", tmp_path / "out.json"
+        write(u_path, json.dumps({"measure": measure_doc([0.25] * 4, prefix="x"),
+                                  "values": [[1.0], [2.0], [3.0], [4.0]]}))
+        write(y_path, json.dumps(measure_doc([0.25] * 4, [[0.0], [1.0], [2.0], [3.0]])))
+        target = ["--m", "2"] if command == "rearrange" else ["--Y", str(y_path)]
+        code = main([command, "--u", str(u_path), *target, "--cluster-tol", "1e-310",
+                     "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: cluster_tol 1e-310 is too small")
+        assert "Warning" not in err
+
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "0"])
     def test_non_finite_or_non_positive_tol_exits_2(self, paired_instance, tmp_path, capsys,
                                                      value):

@@ -71,6 +71,23 @@ class TestValueLaw:
         with pytest.raises(ValueError):
             value_law(SampledMap(X, [[1.0], [0.0]]), cluster_tol)
 
+    @pytest.mark.parametrize("cluster_tol, scale", [(1e-310, 1.0), (5e-324, 1.0), (1e-300, 1e9)])
+    def test_cluster_tol_that_overflows_the_values_rejected(self, cluster_tol, scale):
+        # values / cluster_tol overflowed to inf, and every value snapped
+        # into one atom, with an overflow warning
+        X = abstract([1 / 3] * 3)
+        low, high = (SampledMap(X, scale * np.array([[1.0], [2.0], [3.0]]) + shift)
+                     for shift in (0.0, 4.0 * scale))
+        with pytest.raises(ValueError, match="too small"):
+            value_law(low, cluster_tol)
+        with pytest.raises(ValueError, match="too small"):
+            equimeasurable(low, high, cluster_tol)
+
+    def test_subnormal_cluster_tol_without_overflow_kept(self):
+        X = abstract([1 / 3] * 3)
+        law = value_law(SampledMap(X, [[1e-300], [2e-300], [3e-300]]), 1e-310)
+        assert law.n_atoms == 3
+
     def test_distinct_values(self):
         X = abstract([0.5, 0.5])
         law = value_law(SampledMap(X, [[1.0], [0.0]]))

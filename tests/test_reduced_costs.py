@@ -10,17 +10,25 @@ The buffer holds the reduced costs of the current duals after every
 pricing pass, not only at return: a partial pass recomputes only the rows
 and columns whose duals the last pivot moved, and must leave the buffer
 byte-equal to a fresh full pass.
+
+Each derived quantity has one owner: a ``CostMatrix`` computes its
+``solver_tol`` once, as ``cost.tol``, and a ``DualPair`` builds its reduced
+costs once and hands the same read-only array to every certificate.
 """
 
+import sys
 from functools import partial
 
 import numpy as np
 import pytest
 
+from polarfact import tolerances
+from polarfact.cli import main
 from polarfact.convex import DualPair
 from polarfact.measures import DiscreteMeasure, SampledMap
-from polarfact.polar import GALLERY_NAMES, gallery_instance
-from polarfact.transport import _Simplex, build_cost
+from polarfact.polar import GALLERY_NAMES, gallery_instance, polar_factorize
+from polarfact.rearrangement import monotone_rearrangement
+from polarfact.transport import _Simplex, build_cost, solve_mk
 
 
 def _measure(prefix, weights, coords=None):
@@ -74,7 +82,7 @@ INSTANCES = {
 def test_pricing_buffer_is_the_kernel(key):
     u, Y = INSTANCES[key]()
     cost = build_cost(u, Y)
-    sx = ExactBufferSimplex(cost.entries, u.domain.weights, Y.weights)
+    sx = ExactBufferSimplex(cost.entries, u.domain.weights, Y.weights, cost.tol)
     sx.solve(cost.order)
     reduced = DualPair(sx.alpha, sx.beta, cost).reduced_costs()
     assert reduced.tobytes() == sx._reduced.tobytes()
@@ -86,7 +94,7 @@ def test_pricing_buffer_is_the_kernel(key):
 def test_dual_recompute_forces_a_full_pass():
     u, Y = LARGE["uniform-120"]()
     cost = build_cost(u, Y)
-    sx = ExactBufferSimplex(cost.entries, u.domain.weights, Y.weights)
+    sx = ExactBufferSimplex(cost.entries, u.domain.weights, Y.weights, cost.tol)
     sx._build_tree(sx._initial_basis())
     sx._recompute_duals()
     sx._pivot(*sx._entering())
@@ -94,3 +102,68 @@ def test_dual_recompute_forces_a_full_pass():
     sx._recompute_duals()
     sx._entering()
     assert (sx.full_passes, sx.partial_passes) == (2, 0)
+
+
+@pytest.fixture
+def derivations(monkeypatch):
+    """Counts calls of ``solver_tol``, under every name a polarfact module
+    binds it to, and distinct arrays returned by ``reduced_costs``."""
+    counts = {"tol": 0, "reduced": []}
+    solver_tol, reduced_costs = tolerances.solver_tol, DualPair.reduced_costs
+
+    def counted_tol(C):
+        counts["tol"] += 1
+        return solver_tol(C)
+
+    def counted_reduced(self):
+        r = reduced_costs(self)
+        if not any(r is seen for seen in counts["reduced"]):
+            counts["reduced"].append(r)
+        return r
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "polarfact" and hasattr(module, "solver_tol"):
+            monkeypatch.setattr(module, "solver_tol", counted_tol)
+    monkeypatch.setattr(DualPair, "reduced_costs", counted_reduced)
+    return lambda: (counts["tol"], len(counts["reduced"]))
+
+
+def test_factorize_scans_its_cost_once_and_builds_r_once(derivations):
+    u, Y = gallery_8("flat-segment")
+    polar_factorize(u, Y)
+    assert derivations() == (1, 1)
+
+
+def test_strict_monotone_scans_its_cost_once_and_builds_r_once(derivations):
+    u, Y = staircase_1d(3, 40)
+    monotone_rearrangement(u, Y)
+    assert derivations() == (1, 1)
+
+
+def test_gallery_scans_each_cost_once_and_builds_r_per_dual_pair(derivations, tmp_path):
+    # cmd_gallery builds a second cost for degeneracy_report, which takes
+    # its reduced costs on that cost
+    assert main(["gallery", "--name", "flat-segment", "--grid", "4",
+                 "--out", str(tmp_path)]) == 0
+    assert derivations() == (2, 2)
+
+
+def test_cost_tolerance_is_solver_tol_of_its_entries():
+    u, Y = random_2d(0, 7, 9, True)
+    cost = build_cost(u, Y)
+    assert cost.tol == tolerances.solver_tol(cost.entries)
+
+
+def test_dual_arrays_and_reduced_costs_are_read_only_copies():
+    u, Y = random_2d(1, 6, 8, True)
+    cost = build_cost(u, Y)
+    _, duals = solve_mk(cost, u.domain, Y)
+    reduced = duals.reduced_costs()
+    assert duals.reduced_costs() is reduced
+    for a in (duals.phi_c, duals.phi, reduced):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1.0
+    alpha = duals.phi_c.copy()
+    pair = DualPair(alpha, duals.phi, cost)
+    alpha[0] += 1.0  # the pair holds its own copy
+    assert pair.reduced_costs().tobytes() == reduced.tobytes()

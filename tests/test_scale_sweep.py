@@ -18,7 +18,6 @@ import pytest
 from polarfact.errors import NumericalFailureError
 from polarfact.measures import DiscreteMeasure, SampledMap
 from polarfact.polar import degeneracy_report, gallery_instance, polar_factorize
-from polarfact.tolerances import solver_tol
 from polarfact.transport import build_cost, solve_mk
 
 # (coordinate scale, coordinate offset)
@@ -48,7 +47,7 @@ def random_2d_instance(seed, scale, offset, n=60):
 def test_certified_at_scale(name, seed):
     u, Y = random_2d_instance(seed, *PASSING[name])
     result = polar_factorize(u, Y)
-    tol = solver_tol(build_cost(u, Y).entries)
+    tol = build_cost(u, Y).tol
     assert result.max_gap <= tol
     assert result.conjugate_identity_error <= tol
 

@@ -204,7 +204,7 @@ def solved(cls, name):
     """Pivot counts, final tree state and the solve_mk result of one corpus
     instance under the given simplex class."""
     u, Y, cost = corpus_instance(name)
-    sx = cls(cost.entries, u.domain.weights, Y.weights)
+    sx = cls(cost.entries, u.domain.weights, Y.weights, cost.tol)
     pivots = sx.solve(cost.order)
     counts = (pivots, sx.degenerate_pivots)
     state = (list(sx.parent), list(sx.depth), list(sx.flow), sx.pot.tobytes())

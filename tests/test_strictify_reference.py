@@ -226,7 +226,7 @@ def strictified(name):
     """The reference's duals on the solver's final basis, what it saw on
     the way, and the duals ``solve_mk`` returns."""
     u, Y, cost = corpus_instance(name)
-    sx = _Simplex(cost.entries, u.domain.weights, Y.weights)
+    sx = _Simplex(cost.entries, u.domain.weights, Y.weights, cost.tol)
     sx.solve(cost.order)
     rows, cols, _ = sx.plan_triplets()
     seen = {}
@@ -259,7 +259,7 @@ class TestStrictifyReference:
 
     def test_zero_weight_row_is_its_own_component(self):
         u, Y, cost = corpus_instance("zero-weight-row-51-12x15")
-        sx = _Simplex(cost.entries, u.domain.weights, Y.weights)
+        sx = _Simplex(cost.entries, u.domain.weights, Y.weights, cost.tol)
         sx.solve(cost.order)
         rows, cols, _ = sx.plan_triplets()
         comp, _ = support_labels(*cost.shape, rows, cols)
@@ -281,8 +281,7 @@ class TestStrictDualFace:
     def test_feasible_and_gauge_fixed(self, name):
         u, Y, cost = corpus_instance(name)
         _, duals = solve_mk(cost, u.domain, Y)
-        tol = _Simplex(cost.entries, u.domain.weights, Y.weights).tol
-        assert reduced_costs(cost, duals).min() >= -tol
+        assert reduced_costs(cost, duals).min() >= -cost.tol
         assert duals.phi[0] == 0.0
 
     @pytest.mark.parametrize("N", [4, 6, 8])
@@ -315,7 +314,7 @@ class TestOneDimensionalOracle:
         for seed in range(120):
             u, Y = distinct_1d(seed)
             cost = build_cost(u, Y)
-            sx = _Simplex(cost.entries, u.domain.weights, Y.weights)
+            sx = _Simplex(cost.entries, u.domain.weights, Y.weights, cost.tol)
             sx.solve(cost.order)
             comp, n_comp = support_labels(*cost.shape, *sx.plan_triplets()[:2])
             m = u.domain.size

@@ -36,7 +36,7 @@ class RecordingSimplex(_Simplex):
 
 
 def solve_recorded(cost, order=None):
-    sx = RecordingSimplex(cost.entries, cost.mu.weights, cost.nu.weights)
+    sx = RecordingSimplex(cost.entries, cost.mu.weights, cost.nu.weights, cost.tol)
     sx.solve(order)
     return sx.trees
 

@@ -418,8 +418,12 @@ class TestReusingSolves:
         with reusing_solves():
             plan, duals = solve_mk(cost, u.domain, Y)
             want = fingerprint(plan, duals)
-            for a in (plan.rows, plan.cols, plan.masses, duals.phi_c, duals.phi):
+            for a in (plan.rows, plan.cols, plan.masses):
                 a[:] = 7
+            # the dual pair's arrays are read-only copies
+            for a in (duals.phi_c, duals.phi):
+                with pytest.raises(ValueError, match="read-only"):
+                    a[:] = 7
             assert fingerprint(*solve_mk(cost, u.domain, Y)) == want
         assert len(simplex_runs) == 1
 
@@ -530,7 +534,7 @@ def one_d_split_instance(rng, n):
 
 
 def simplex_instance(name):
-    """Cost matrix and marginals of a named seeded instance."""
+    """Cost matrix, marginals and tolerance of a named seeded instance."""
     if name.startswith("gallery-"):
         u, Y, _ = gallery_instance(name[len("gallery-"):], 8, seed=3)
     else:
@@ -540,18 +544,24 @@ def simplex_instance(name):
             u, Y = one_d_split_instance(rng, int(m))
         else:
             u, Y = random_instance(rng, int(m), int(n), uniform_weights=kind == "uniform")
-    return build_cost(u, Y).entries, u.domain.weights, Y.weights
+    return simplex_args(u, Y)
+
+
+def simplex_args(u, Y):
+    """Cost matrix, marginals and tolerance, as ``_Simplex`` takes them."""
+    cost = build_cost(u, Y)
+    return cost.entries, u.domain.weights, Y.weights, cost.tol
 
 
 def integer_grid_instance(seed, m, n):
-    """Cost matrix and uniform marginals of 2-D values and sites with
-    integer coordinates in [-2, 2]: many equal costs and tied pivots."""
+    """Cost matrix, uniform marginals and tolerance of 2-D values and sites
+    with integer coordinates in [-2, 2]: many equal costs and tied pivots."""
     rng = np.random.default_rng(seed)
     values = rng.integers(-2, 3, (m, 2)).astype(float)
     sites = rng.integers(-2, 3, (n, 2)).astype(float)
     u = SampledMap(uniform(m), values)
     Y = uniform(n, coords=sites, prefix="y")
-    return build_cost(u, Y).entries, u.domain.weights, Y.weights
+    return simplex_args(u, Y)
 
 
 def reference_pivot(basis, m, ei, ej):
@@ -658,10 +668,10 @@ class TestSimplexTree:
         # degenerate bases whose cycles often reach theta at several cells,
         # so the leaving cell is picked among ties
         if name.startswith("grid"):
-            C, a, b = integer_grid_instance(*(int(s) for s in name.split("-")[1:]))
+            args = integer_grid_instance(*(int(s) for s in name.split("-")[1:]))
         else:
-            C, a, b = simplex_instance(name)
-        sx = CheckedSimplex(C, a, b)
+            args = simplex_instance(name)
+        sx = CheckedSimplex(*args)
         pivots = sx.solve()
         assert pivots == sx.checked > 0
         assert sx.degenerate_pivots > 0
@@ -688,8 +698,8 @@ class TestSimplexTree:
 
     @staticmethod
     def pivots_and_support(name):
-        C, a, b = simplex_instance(name)
-        pivots = _Simplex(C, a, b).solve()
+        C, a, b, tol = simplex_instance(name)
+        pivots = _Simplex(C, a, b, tol).solve()
         mu = DiscreteMeasure(tuple(f"x{i}" for i in range(a.size)), a)
         nu = DiscreteMeasure(tuple(f"y{j}" for j in range(b.size)), b)
         plan, _ = solve_mk(CostMatrix(C, mu, nu), mu, nu)
@@ -704,7 +714,7 @@ class TestSimplexTree:
         rng = np.random.default_rng(5)
         u, Y = random_instance(rng, 8, 8)
         cost = build_cost(u, Y)
-        sx = _Simplex(cost.entries, u.domain.weights, Y.weights)
+        sx = _Simplex(cost.entries, u.domain.weights, Y.weights, cost.tol)
         pivots = sx.solve()
         with caplog.at_level("DEBUG", logger="polarfact"):
             result = solve_mk(cost, u.domain, Y)
@@ -757,7 +767,7 @@ class TestNorthWestStart:
         for k in range(200):
             u, Y = one_d_instance(rng, k)
             cost = build_cost(u, Y)
-            assert _Simplex(cost.entries, u.domain.weights, Y.weights).solve(cost.order) == 0
+            assert _Simplex(cost.entries, u.domain.weights, Y.weights, cost.tol).solve(cost.order) == 0
             plan, duals = solve_mk(cost, u.domain, Y)
             plain = CostMatrix(cost.entries, cost.mu, cost.nu)
             ref_plan, _ = solve_mk(plain, u.domain, Y)
@@ -778,7 +788,7 @@ class TestNorthWestStart:
         cost = build_cost(u, Y)
         rows, cols = cost.order
         reversed_order = (rows[::-1], cols)
-        sx = _Simplex(cost.entries, u.domain.weights, Y.weights)
+        sx = _Simplex(cost.entries, u.domain.weights, Y.weights, cost.tol)
         assert sx.solve(reversed_order) > 0
         reduced = cost.entries - sx.alpha[:, None] - sx.beta[None, :]
         assert reduced.min() >= -sx.tol

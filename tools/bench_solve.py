@@ -1,6 +1,6 @@
-"""Time the transport solve, the value-law pipeline or the CLI pipeline of two source trees.
+"""Time the solve, value-law, CLI-pipeline or certificate layer of two source trees.
 
-    python3 tools/bench_solve.py [--suite pricing|value_law|solve_cache] OLD_SRC NEW_SRC [OUT]
+    python3 tools/bench_solve.py [--suite pricing|value_law|solve_cache|certificates] OLD_SRC NEW_SRC [OUT]
 
 Loads the ``polarfact`` package of each tree under its own module name and
 times, alternating old and new in this one process.  The ``pricing`` suite
@@ -33,6 +33,14 @@ writing into its own temporary directory.  Each pair must give the same
 exit codes and byte-identical files, and each tree's simplex
 computations per instance go with the medians.
 
+The ``certificates`` suite times ``polar_factorize`` and strict
+``monotone_rearrangement`` on one 1-D instance of 2,000 points per side
+with uniform weights, drawn from ``default_rng(0)``: standard-normal values,
+then standard-normal sites.  Each pair must return byte-identical plans,
+duals and potentials (for the rearrangement: rearranged values and
+potential).  From one untimed call per tree, the tracemalloc peak and the
+traced memory the returned result still holds go with the medians.
+
 The medians, their ratio and the layer the change is meant to move go to
 OUT (default ``BENCH_<suite>.json``).  BLAS is held to one thread.
 """
@@ -55,6 +63,7 @@ import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -71,8 +80,10 @@ BLOCK_FACTOR = 3
 PIPELINE_GRID = 8
 PIPELINE_SEEDS = range(4)
 PIPELINE_REPEATS = 11
+CERTIFICATES_N = 2000
+CERTIFICATES_REPEATS = 11
 LAYERS = {"pricing": "pricing", "value_law": "measures.value_law",
-          "solve_cache": "transport.solve_mk"}
+          "solve_cache": "transport.solve_mk", "certificates": "certificates"}
 
 
 def load(src: str, alias: str):
@@ -104,6 +115,15 @@ def random_2d(lib, n: int, weighted: bool):
     measure = lib.DiscreteMeasure
     X = measure(tuple(f"x{i}" for i in range(n)), wa)
     Y = measure(tuple(f"y{j}" for j in range(n)), wb, sites)
+    return lib.SampledMap(X, values), Y
+
+
+def uniform_1d(lib, n: int):
+    rng = np.random.default_rng(0)
+    values, sites = rng.normal(size=(n, 1)), rng.normal(size=(n, 1))
+    w = np.full(n, 1.0 / n)
+    X = lib.DiscreteMeasure(tuple(f"x{i}" for i in range(n)), w)
+    Y = lib.DiscreteMeasure(tuple(f"y{j}" for j in range(n)), w, sites)
     return lib.SampledMap(X, values), Y
 
 
@@ -157,10 +177,9 @@ def factorize_op(lib, u, Y):
     result = lib.polar_factorize(u, Y)
     return fingerprint(result.plan, result.duals)
 
-
 def pivot_counts(lib, u, Y) -> dict:
     cost = lib.build_cost(u, Y)
-    sx = lib.transport._Simplex(cost.entries, u.domain.weights, Y.weights)
+    sx = lib.transport._Simplex(cost.entries, u.domain.weights, Y.weights, cost.tol)
     counts = {"pivots": sx.solve(cost.order), "degenerate": sx.degenerate_pivots}
     for key in ("full_passes", "partial_passes"):
         if hasattr(sx, key):
@@ -268,6 +287,38 @@ def solve_cache_suite(libs) -> dict:
     return {name: result}
 
 
+def traced_mb(call) -> dict:
+    """Tracemalloc peak of one call, and the traced memory its result holds."""
+    tracemalloc.start()
+    try:
+        result = call()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del result
+    return {"peak_mb": peak / 2**20, "held_mb": held / 2**20}
+
+
+# the certified calls, each with the bytes of its plan, duals and potential
+# (monotone_rearrangement, strict by default, returns u_sharp and psi)
+CERTIFIED_CALLS = {
+    "polar_factorize": lambda r: fingerprint(r.plan, r.duals) + r.psi.psi_values.tobytes(),
+    "monotone_rearrangement": lambda r: r[0].values.tobytes() + r[1].psi_values.tobytes(),
+}
+
+
+def certificates_suite(libs) -> dict:
+    results = {}
+    inst = {s: uniform_1d(libs[s], CERTIFICATES_N) for s in libs}
+    for func, digest in CERTIFIED_CALLS.items():
+        name = f"{func} 1-D uniform n={CERTIFICATES_N}"
+        calls = {s: (lambda s=s: getattr(libs[s], func)(*inst[s])) for s in libs}
+        ops = {s: (lambda s=s: digest(calls[s]())) for s in libs}
+        results[name] = {**paired(name, CERTIFICATES_REPEATS, ops),
+                         **{f"{s}_tracemalloc": traced_mb(calls[s]) for s in libs}}
+    return results
+
+
 def main(argv) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--suite", choices=sorted(LAYERS), default="pricing")
@@ -282,6 +333,8 @@ def main(argv) -> int:
         results, module = pricing_suite(libs), "transport"
     elif args.suite == "value_law":
         results, module = value_law_suite(libs), "measures"
+    elif args.suite == "certificates":
+        results, module = certificates_suite(libs), "convex"
     else:
         results, module = solve_cache_suite(libs), "transport"
     record = {
