@@ -44,7 +44,7 @@ from .transport import (
     reusing_solves,
     solve_mk,
 )
-from .tolerances import DEFAULT_TOL, gap_vanishes
+from .tolerances import gap_vanishes
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -53,20 +53,10 @@ EXIT_INCLUSION = 4
 EXIT_OPTIMALITY = 5
 EXIT_NEGATIVE = 10
 
-DEFAULT_TOL_ENV = "POLARFACT_TOL"
-
 
 def _validate(args: argparse.Namespace) -> None:
-    """Resolve ``--tol`` (flag, then environment, then default) in place and
-    check the tolerances the command has; ``--format`` is checked by argparse."""
-    if "tol" in vars(args):
-        if args.tol is None:
-            env = os.environ.get(DEFAULT_TOL_ENV)
-            args.tol = float(env) if env else DEFAULT_TOL
-        if not args.tol > 0:
-            raise ValueError(f"tolerance must be > 0, got {args.tol!r}")
-        if not math.isfinite(args.tol):
-            raise ValueError(f"tolerance must be finite, got {args.tol!r}")
+    """Check the cluster tolerance of the commands that take one;
+    ``--format`` is checked by argparse."""
     if "cluster_tol" in vars(args):
         if not math.isfinite(args.cluster_tol):
             raise ValueError(f"cluster tolerance must be finite, got {args.cluster_tol!r}")
@@ -106,7 +96,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     cert = duality_certificate(plan, duals, cost)
     if args.oracle:
         oracle = brute_force_mk(cost, u.domain, Y)
-        if not gap_vanishes(cert["I"] - oracle, oracle):
+        if not gap_vanishes(cert["I"] - oracle, cost.tol, u.domain.total_mass):
             print(
                 f"certification failure: I={cert['I']!r} but oracle={oracle!r}",
                 file=sys.stderr,
@@ -228,12 +218,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     plan = io.read_plan(args.plan_path, u.domain, Y)
     plan.validate()
     psi = io.read_potential(args.psi_path, Y)
-    certified, max_gap = verify_polar_inclusion(plan, psi, u, args.tol)
+    certified, max_gap = verify_polar_inclusion(plan, psi, u)
     cost = build_cost(u, Y)
     i_plan = objective(plan, cost)
     doc = {"max_gap": max_gap, "I": i_plan, "inclusion_certified": certified}
     if not certified:
-        print(f"inclusion fails: max gap = {max_gap:.6e} > tol = {args.tol:.1e}", file=sys.stderr)
+        print(f"inclusion fails: max gap = {max_gap:.6e}", file=sys.stderr)
         _emit_verify(args, doc)
         return EXIT_INCLUSION
     # verify_optimality_of_inclusion solves this instance again: one
@@ -243,7 +233,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         i_opt = objective(opt_plan, cost)
         doc["optimum"] = i_opt
         doc["delta"] = i_plan - i_opt
-        optimal = verify_optimality_of_inclusion(plan, psi, u, args.tol)
+        optimal = verify_optimality_of_inclusion(plan, psi, u)
     doc["optimality_certified"] = optimal
     print(f"max gap = {max_gap:.6e}; I - optimum = {i_plan - i_opt:.6e}", file=sys.stderr)
     _emit_verify(args, doc)
@@ -309,9 +299,6 @@ def _parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="re-verify an inclusion certificate and optimality")
     common(sp, u=True, y=True)
-    sp.add_argument("--tol", type=float, default=None,
-                    help=f"Fenchel-gap tolerance of the psi file (default {DEFAULT_TOL:g}, "
-                    f"env {DEFAULT_TOL_ENV})")
     sp.add_argument("--plan", required=True, dest="plan_path", metavar="FILE")
     sp.add_argument("--psi", required=True, dest="psi_path", metavar="FILE")
     return p

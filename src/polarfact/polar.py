@@ -34,13 +34,7 @@ from .errors import (
 )
 from .measures import DiscreteMeasure, SampledMap, value_law
 from .rearrangement import HeavyAtoms, construct_m_to_1
-from .tolerances import (
-    DEFAULT_TOL,
-    dominant,
-    gap_vanishes,
-    sums_match,
-    within_optimum,
-)
+from .tolerances import dominant, gap_vanishes, sums_match
 from .transport import (
     CostMatrix,
     TransportPlan,
@@ -87,15 +81,15 @@ def plan_from_map(
     return plan
 
 
-def verify_polar_inclusion(
-    plan: TransportPlan, psi: ConvexPotential, u: SampledMap, tol: float = DEFAULT_TOL
-):
+def verify_polar_inclusion(plan: TransportPlan, psi: ConvexPotential, u: SampledMap):
     """Check u(x) in the subdifferential of psi at y on the plan's support.
 
     Returns (certified, max_gap): the largest Fenchel gap over support
-    triplets and whether it stays within ``tol``.
+    triplets and whether it stays within ``solver_tol`` of the scores
+    u(x) . y - psi(y) it is taken from.
     """
-    max_gap = float(np.max(_support_gaps(plan, psi, u), initial=0.0))
+    gaps, tol = _support_gaps(plan, psi, u)
+    max_gap = float(np.max(gaps, initial=0.0))
     return max_gap <= tol, max_gap
 
 
@@ -188,19 +182,18 @@ def _classify(plan: TransportPlan, u: SampledMap, Y: DiscreteMeasure):
     return FACTORISATION, factor_map, SampledMap(Y, target_vals), residues
 
 
-def verify_optimality_of_inclusion(
-    pi: TransportPlan,
-    psi: ConvexPotential,
-    u: SampledMap,
-    tol: float = DEFAULT_TOL,
-) -> bool:
+def verify_optimality_of_inclusion(pi: TransportPlan, psi: ConvexPotential, u: SampledMap) -> bool:
     """Confirm against the optimum of ``solve_mk`` that a certified
     inclusion plan is optimal, and that its gap-weighted objective vanishes.
 
-    Inside ``transport.reusing_solves`` that optimum may be the block's
-    solution of the same instance, certified again for this call.
+    The gaps are judged as by ``verify_polar_inclusion``, and their
+    plan-weighted sum J(pi) by that tolerance times the mass.  The excess
+    I(pi) - I* is judged by ``cost.tol`` times the mass: C is exact under
+    translation, so this catches a suboptimal plan at any offset.  Inside
+    ``transport.reusing_solves`` the optimum may be the block's solution of
+    the same instance, certified again for this call.
     """
-    gaps = _support_gaps(pi, psi, u)
+    gaps, tol = _support_gaps(pi, psi, u)
     max_gap = float(np.max(gaps, initial=0.0))
     if not max_gap <= tol:
         raise InclusionNotCertifiedError(
@@ -208,11 +201,11 @@ def verify_optimality_of_inclusion(
         )
     cost = build_cost(u, pi.nu)
     opt_plan, _ = solve_mk(cost, pi.mu, pi.nu)
-    i_pi = objective(pi, cost)
-    if not within_optimum(i_pi, objective(opt_plan, cost)):
+    mass = pi.mu.total_mass
+    if not objective(pi, cost) - objective(opt_plan, cost) <= cost.tol * mass:
         return False
     # J(pi), the plan-weighted gap sum of ``shifted_objective``
-    return gap_vanishes(float(np.dot(pi.masses, gaps)), i_pi)
+    return gap_vanishes(float(np.dot(pi.masses, gaps)), tol, mass)
 
 
 @dataclass(frozen=True)
@@ -231,11 +224,11 @@ def degeneracy_report(plan: TransportPlan, duals: DualPair, cost: CostMatrix) ->
 
     A target is optimal for a row when its reduced cost is zero by the
     solver's own test, ``|reduced| <= cost.tol``.  Requires the
-    zero-duality-gap certificate of the pair, since reduced costs are only
-    meaningful against optimal duals.
+    zero-duality-gap certificate of the pair (``cost.tol`` times the mass),
+    since reduced costs are only meaningful against optimal duals.
     """
     cert = duality_certificate(plan, duals, cost)
-    if not gap_vanishes(cert["gap"], cert["I"]):
+    if not gap_vanishes(cert["gap"], cost.tol, plan.mu.total_mass):
         raise CertificateMissingError(
             f"duality gap {cert['gap']!r} is not certified zero"
         )

@@ -1,6 +1,10 @@
 """The tolerance policy: every threshold a result is compared against.
 
-Predicates are written ``value <= bound``, so a NaN never passes.
+Masses are compared relative to their own size.  Anything computed from
+costs or potentials is judged by ``solver_tol`` of the matrix it was
+taken from, and a gap integrated over a plan by that tolerance times the
+plan's mass.  No bound has a floor.  Predicates are written
+``value <= bound``, so a NaN never passes.
 """
 
 from __future__ import annotations
@@ -9,9 +13,8 @@ import numpy as np
 
 from .errors import UnequalMassError
 
-RTOL = 1e-9  # relative: masses, duality gaps, objective values
+RTOL = 1e-9  # relative: masses
 EXACT_RTOL = 1e-12  # relative: masses that only rounding may separate
-DEFAULT_TOL = 1e-8  # absolute: the Fenchel gaps verify takes of a psi read from a file
 DOMINANT_FRACTION = 1.0 - RTOL  # share of its row's or site's mass a dominant cell carries
 
 
@@ -31,14 +34,10 @@ def check_balanced(total_a: float, total_b: float, rtol: float = RTOL) -> None:
         raise UnequalMassError(f"total masses differ: {total_a!r} vs {total_b!r}")
 
 
-def gap_vanishes(gap: float, value: float) -> bool:
-    """True when a gap is zero relative to the value it was taken from."""
-    return abs(gap) <= RTOL * (1.0 + abs(value))
-
-
-def within_optimum(value: float, optimum: float) -> bool:
-    """True when an objective value does not exceed the optimum beyond rounding."""
-    return value <= optimum + RTOL * (1.0 + abs(optimum))
+def gap_vanishes(gap: float, tol: float, mass: float) -> bool:
+    """True when a gap integrated over a plan of total ``mass`` is zero at
+    ``tol`` per unit of mass."""
+    return abs(gap) <= tol * mass
 
 
 def dominant(mass, total):
@@ -46,7 +45,7 @@ def dominant(mass, total):
 
 
 def solver_tol(C: np.ndarray) -> float:
-    """The simplex's pricing and zero-slack tolerance, and the bound on the
-    gaps read from its duals' reduced costs; relative to max|C|."""
+    """The simplex's pricing and zero-slack tolerance, and the bound on every
+    gap read from C or from a matrix of the same kind; relative to max|C|."""
     return 1e-11 * float(np.max(np.abs(C))) if C.size else 0.0
 

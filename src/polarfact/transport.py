@@ -37,8 +37,10 @@ Duals are rooted at the first target site (phi(y_1) = 0) and recomputed
 exactly from the final tree, so complementary slackness holds to float
 precision on the support and the duality gap of the returned pair is zero
 up to accumulation error.  The tolerance is ``cost.tol``, computed once per
-``CostMatrix``; the ``DualPair`` holds read-only duals and builds their
-reduced costs once, for the feasibility check here and every certificate.
+``CostMatrix``, and the duality gap, an integral over the plan, is judged
+by ``cost.tol`` times the total mass; the ``DualPair`` holds read-only duals
+and builds their reduced costs once, for the feasibility check here and
+every certificate.
 
 Within a ``reusing_solves`` block, ``solve_mk`` keeps the last solution it
 certified, keyed by content: the shape and bytes of the cost entries, the
@@ -65,7 +67,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .convex import ConvexPotential, DualPair, fenchel_gap_many
+from .convex import ConvexPotential, DualPair, conjugate_scores_many, gaps_from_scores
 from .errors import (
     DimensionMismatchError,
     MarginalMismatchError,
@@ -734,7 +736,7 @@ def solve_mk(cost: CostMatrix, mu: DiscreteMeasure, nu: DiscreteMeasure):
     plan = TransportPlan(*(a.copy() for a in solution[:3]), mu, nu)
     duals = DualPair(*solution[3:], cost)
     cert = duality_certificate(plan, duals, cost)
-    if not gap_vanishes(cert["gap"], cert["I"]):
+    if not gap_vanishes(cert["gap"], cost.tol, mu.total_mass):
         raise NumericalFailureError(f"duality gap {cert['gap']!r} exceeds tolerance")
     # a zero gap proves optimality only for feasible duals
     violation = duals.max_feasibility_violation()
@@ -766,21 +768,24 @@ def brute_force_mk(cost: CostMatrix, mu: DiscreteMeasure, nu: DiscreteMeasure) -
     return float(w[0] * totals.min())
 
 
-def _support_gaps(plan: TransportPlan, psi: ConvexPotential, u: SampledMap) -> np.ndarray:
-    """Fenchel gap of u(x_i) at y_j for each support triplet (i, j) of the plan."""
+def _support_gaps(plan: TransportPlan, psi: ConvexPotential, u: SampledMap):
+    """Fenchel gap of u(x_i) at y_j for each support triplet (i, j) of the
+    plan, and their tolerance: ``solver_tol`` of the scores u(x_i) . y_k - psi_k
+    the gaps are taken from, since psi ~ |y|^2/2 carries rounding on that scale."""
     if plan.mu.size != u.domain.size:
         raise MarginalMismatchError("plan source does not match the map's domain")
     if plan.nu.size != psi.support.size:
         raise MarginalMismatchError("plan target does not match the potential's support")
     plan._check_indices()  # a negative index would wrap to the last site
     if plan.n_triplets == 0:
-        return np.zeros(0)
-    return fenchel_gap_many(psi, u.values[plan.rows], plan.cols)
+        return np.zeros(0), 0.0
+    scores = conjugate_scores_many(psi, u.values[plan.rows])
+    return gaps_from_scores(scores, plan.cols), solver_tol(scores)
 
 
 def shifted_objective(plan: TransportPlan, psi: ConvexPotential, u: SampledMap) -> float:
     """Plan-weighted sum of Fenchel gaps; equals I plus a marginal-only shift."""
-    return float(np.dot(plan.masses, _support_gaps(plan, psi, u)))
+    return float(np.dot(plan.masses, _support_gaps(plan, psi, u)[0]))
 
 
 def _northwest_cells(a: np.ndarray, b: np.ndarray, root: int):

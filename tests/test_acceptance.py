@@ -149,7 +149,7 @@ class TestAcceptance:
         worst_identity = 0.0
         for u, Y, cost, plan, duals in solved_suite:
             psi = ConvexPotential(Y, 0.5 * np.sum(Y.coords**2, axis=1) - duals.phi)
-            ok, gap = verify_polar_inclusion(plan, psi, u, tol=1e-8)
+            ok, gap = verify_polar_inclusion(plan, psi, u)
             assert ok
             worst_gap = max(worst_gap, gap)
             conj = conjugate_many(psi, u.values)

@@ -9,7 +9,6 @@ from polarfact import cli, io, polar, transport
 from polarfact.cli import main
 from polarfact.errors import SplitAtomError
 from polarfact.measures import DiscreteMeasure, SampledMap
-from polarfact.polar import DEFAULT_TOL
 
 
 def write(path, text):
@@ -465,9 +464,9 @@ class TestVerify:
                      "--plan", str(plan_path), "--psi", str(result)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
-    def test_env_tolerance_override(self, tmp_path, monkeypatch):
+    def test_psi_raised_at_a_duplicated_site_exits_4(self, tmp_path):
         # duplicated site: raising psi at one copy creates a gap equal to
-        # the perturbation, here between the 1e-8 default and the env value
+        # the perturbation, 1e-4, far above 1e-11 of the scores' scale
         coords = [[0.5], [0.5], [-1.0]]
         y_doc = measure_doc([1 / 4, 1 / 4, 1 / 2], coords)
         u_doc = {"measure": measure_doc([1 / 4, 1 / 4, 1 / 2], prefix="x"), "values": coords}
@@ -489,19 +488,8 @@ class TestVerify:
                 ]}
             ),
         )
-        args = ["verify", "--u", str(u_path), "--Y", str(y_path),
-                "--plan", str(plan_path), "--psi", str(psi_path)]
-        # loose env tolerance admits the inclusion (the strict optimality
-        # J-check still fails); the default tolerance rejects the inclusion
-        monkeypatch.setenv("POLARFACT_TOL", "1e-2")
-        assert main(args) == 5
-        monkeypatch.delenv("POLARFACT_TOL")
-        assert main(args) == 4
-
-    def test_bad_tolerance_exits_2(self, tmp_path):
-        u_path, y_path, result = self._solved_files(tmp_path)
-        assert main(["verify", "--u", u_path, "--Y", y_path, "--plan", result,
-                     "--psi", result, "--tol", "0"]) == 2
+        assert main(["verify", "--u", str(u_path), "--Y", str(y_path),
+                     "--plan", str(plan_path), "--psi", str(psi_path)]) == 4
 
 
 class TestValidation:
@@ -534,23 +522,7 @@ class TestValidation:
         assert err.startswith("error: cluster_tol 1e-310 is too small")
         assert "Warning" not in err
 
-    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "0"])
-    def test_non_finite_or_non_positive_tol_exits_2(self, paired_instance, tmp_path, capsys,
-                                                     value):
-        # an infinite tolerance would pass every gap <= tol check
-        u_path, y_path = paired_instance
-        out = tmp_path / "result.json"
-        code = main(["verify", "--u", u_path, "--Y", y_path, "--plan", y_path, "--psi", y_path,
-                     f"--tol={value}", "--out", str(out)])
-        assert code == 2
-        assert not out.exists()
-        kind = "finite" if value == "inf" else "> 0"
-        message = f"error: tolerance must be {kind}, got {float(value)!r}\n"
-        assert capsys.readouterr().err == message
-
-    def test_infinite_env_tol_exits_2(self, paired_instance, tmp_path, capsys, monkeypatch):
-        # with an infinite tolerance a psi raised at one site would still be
-        # written out as a certified inclusion
+    def test_psi_raised_at_one_site_exits_4(self, paired_instance, tmp_path):
         u_path, y_path = paired_instance
         result = tmp_path / "result.json"
         assert main(["factorize", "--u", u_path, "--Y", y_path, "--out", str(result)]) == 0
@@ -558,19 +530,8 @@ class TestValidation:
         doc["psi"][0] += 5.0
         psi_path = tmp_path / "psi.json"
         write(psi_path, json.dumps(doc["psi"]))
-        args = ["verify", "--u", u_path, "--Y", y_path, "--plan", str(result),
-                "--psi", str(psi_path), "--out", str(tmp_path / "verify.json")]
-        assert main(args) == 4
-        capsys.readouterr()
-        monkeypatch.setenv("POLARFACT_TOL", "inf")
-        assert main(args) == 2
-        assert capsys.readouterr().err == "error: tolerance must be finite, got inf\n"
-
-    def test_tol_help_names_the_library_default(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["verify", "--help"])
-        help_text = " ".join(capsys.readouterr().out.split())
-        assert f"(default {DEFAULT_TOL:g}, env POLARFACT_TOL)" in help_text
+        assert main(["verify", "--u", u_path, "--Y", y_path, "--plan", str(result),
+                     "--psi", str(psi_path), "--out", str(tmp_path / "verify.json")]) == 4
 
     @pytest.mark.parametrize("fmt", ["json", "text"])
     def test_nan_plan_mass_exits_2(self, paired_instance, tmp_path, capsys, fmt):
@@ -622,7 +583,8 @@ class TestFlags:
         [("solve", ["--seed", "1"]), ("solve", ["--tol", "1e-3"]),
          ("factorize", ["--cluster-tol", "0"]), ("factorize", ["--tol", "1e-3"]),
          ("monotone", ["--tol", "1e-3"]), ("rearrange", ["--seed", "2"]),
-         ("gallery", ["--tol", "1e-3"]), ("verify", ["--cluster-tol", "0"])],
+         ("gallery", ["--tol", "1e-3"]), ("verify", ["--cluster-tol", "0"]),
+         ("verify", ["--tol", "1e-3"])],
     )
     def test_flag_of_another_command_exits_2(self, paired_instance, capsys, command, flag):
         u_path, y_path = paired_instance
@@ -638,11 +600,15 @@ class TestFlags:
         assert main(["gallery", "--name", "injective-control", "--grid", "4", "--seed", "3",
                      "--cluster-tol", "0", "--out", str(tmp_path)]) == 0
 
-    @pytest.mark.parametrize("command", ["solve", "factorize", "monotone"])
-    def test_env_tol_ignored_without_tol_flag(self, paired_instance, monkeypatch, command):
+    @pytest.mark.parametrize("command", ["solve", "factorize", "monotone", "verify"])
+    def test_env_tol_ignored_without_tol_flag(self, paired_instance, tmp_path, monkeypatch,
+                                              command):
         u_path, y_path = paired_instance
+        result = tmp_path / "result.json"
+        assert main(["factorize", "--u", u_path, "--Y", y_path, "--out", str(result)]) == 0
+        rest = ["--plan", str(result), "--psi", str(result)] if command == "verify" else []
         monkeypatch.setenv("POLARFACT_TOL", "inf")
-        assert main([command, "--u", u_path, "--Y", y_path]) == 0
+        assert main([command, "--u", u_path, "--Y", y_path, *rest]) == 0
 
 
 class TestFormats:

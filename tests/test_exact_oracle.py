@@ -50,29 +50,27 @@ def test_optimal_at_power_of_two_scale(k, seed):
     assert exact_gap(plan, duals, cost) == 0
 
 
-# verify judges the inclusion gap and the objective by absolute or
-# unit-floored bounds, so below these scales it certifies a suboptimal plan
-# (ROADMAP item 4)
-VERIFY_CERTIFIES_SUBOPTIMAL = range(-20, -15)
-
-
-def shuffled_verify_case(tmp_path, scale):
+def shuffled_verify_case(tmp_path, scale, offset=0.0):
     """TestVerify's 5-point 1-D instance with coordinates and values times
-    ``scale``: factorize it, roll the optimal plan's columns by one, and
-    verify the rolled plan against the factorize result's psi.
+    ``scale`` plus ``offset``: factorize it, verify the result, roll the
+    optimal plan's columns by one, and verify the rolled plan against the
+    factorize result's psi.
 
-    Returns verify's exit code and the rolled plan's exact suboptimality:
-    its exact primal value minus that of an optimal plan whose exact gap is 0.
+    Returns verify's exit codes on the factorize result and on the rolled
+    plan, and the rolled plan's exact suboptimality: its exact primal value
+    minus that of an optimal plan whose exact gap is 0.
     """
     rng = np.random.default_rng(4)
     n = 5
-    coords = (scale * rng.normal(size=(n, 1))).tolist()
-    values = (scale * rng.normal(size=(n, 1))).tolist()
+    coords = (scale * rng.normal(size=(n, 1)) + offset).tolist()
+    values = (scale * rng.normal(size=(n, 1)) + offset).tolist()
     u_path, y_path = tmp_path / "u.json", tmp_path / "Y.json"
     write(u_path, json.dumps({"measure": measure_doc([1 / n] * n, prefix="x"), "values": values}))
     write(y_path, json.dumps(measure_doc([1 / n] * n, coords)))
     result = tmp_path / "result.json"
     assert main(["factorize", "--u", str(u_path), "--Y", str(y_path), "--out", str(result)]) == 0
+    own = main(["verify", "--u", str(u_path), "--Y", str(y_path),
+                "--plan", str(result), "--psi", str(result)])
     triplets = json.loads(result.read_text())["plan"]["triplets"]
     cols = [t["j"] for t in triplets]
     for t, j in zip(triplets, cols[1:] + cols[:1]):
@@ -88,16 +86,24 @@ def shuffled_verify_case(tmp_path, scale):
     # a zero exact gap makes the dual bound the exact optimum
     assert exact_gap(plan, duals, cost) == 0
     rolled = io.read_plan(str(plan_path), u.domain, Y)
-    return code, exact_gap(rolled, duals, cost)
+    return own, code, exact_gap(rolled, duals, cost)
 
 
-@pytest.mark.parametrize("k", [
-    pytest.param(k, marks=pytest.mark.xfail(
-        strict=True, reason="ROADMAP item 4: verify certifies a suboptimal plan at small scales"))
-    if k in VERIFY_CERTIFIES_SUBOPTIMAL else k
-    for k in range(-20, 21)
-])
+@pytest.mark.parametrize("k", range(-20, 21))
 def test_verify_rejects_a_suboptimal_plan_at_power_of_two_scale(tmp_path, capsys, k):
-    code, suboptimality = shuffled_verify_case(tmp_path, 2.0**k)
+    own, code, suboptimality = shuffled_verify_case(tmp_path, 2.0**k)
+    assert own == 0, capsys.readouterr().err
+    assert suboptimality > 0
+    assert code != 0, capsys.readouterr().err
+
+
+# psi ~ |y|^2/2 then carries rounding on the scale of the offset squared,
+# far above the rolled plan's Fenchel gaps, while C, taken in difference
+# form, stays exact: the objective check must catch the plan
+@pytest.mark.parametrize("offset", [1e2, 1e4, 1e6])
+@pytest.mark.parametrize("k", [-20, 0, 20])
+def test_verify_judges_by_the_exact_oracle_at_an_offset(tmp_path, capsys, k, offset):
+    own, code, suboptimality = shuffled_verify_case(tmp_path, 2.0**k, offset)
+    assert own == 0, capsys.readouterr().err
     assert suboptimality > 0
     assert code != 0, capsys.readouterr().err

@@ -51,9 +51,19 @@ def test_relative_bounds_are_judged_in_the_tolerances_module():
     assert found == []
 
 
+def _is_one(node) -> bool:
+    return isinstance(node, ast.Constant) and type(node.value) in (int, float) and node.value == 1
+
+
+def _is_abs(node) -> bool:
+    return isinstance(node, ast.Call) and (
+        getattr(node.func, "id", None) == "abs" or getattr(node.func, "attr", None) == "abs"
+    )
+
+
 def test_no_unit_floor_anywhere():
-    # max(1.0, x) and np.maximum(1.0, x) are the floor of a relative bound,
-    # in the tolerances module as anywhere else
+    # max(1.0, x), np.maximum(1.0, x) and 1 + abs(x) are the floor of a
+    # relative bound, in the tolerances module as anywhere else
     found = [
         f"{name}:{node.lineno}"
         for name, tree in _package_trees(skip=None)
@@ -62,5 +72,19 @@ def test_no_unit_floor_anywhere():
         and (getattr(node.func, "id", None) == "max" or getattr(node.func, "attr", None) == "maximum")
         and any(isinstance(a, ast.Constant) and type(a.value) is float and a.value == 1.0
                 for a in node.args)
+        or isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
+        and (_is_one(node.left) and _is_abs(node.right) or _is_abs(node.left) and _is_one(node.right))
+    ]
+    assert found == []
+
+
+def test_no_module_reads_the_environment():
+    # a setting read from the environment is a knob no command line shows
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in _package_trees(skip=None)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv", "environb")
+        or isinstance(node, ast.alias) and node.name in ("environ", "getenv", "environb")
     ]
     assert found == []

@@ -134,7 +134,7 @@ class TestVerifyPolarInclusion:
         perturbed = psi_vals.copy()
         perturbed[0] += 0.1
         tol = 1e-8
-        ok, gap = verify_polar_inclusion(plan, ConvexPotential(Y, perturbed), u, tol)
+        ok, gap = verify_polar_inclusion(plan, ConvexPotential(Y, perturbed), u)
         assert not ok
         assert gap >= 0.1 - tol
 

@@ -20,13 +20,17 @@ NAN = math.nan
 class TestPredicates:
     def test_nan_never_passes(self):
         assert not masses_close(NAN, 1.0) and not masses_close(1.0, NAN)
-        assert not gap_vanishes(NAN, 1.0) and not gap_vanishes(0.0, NAN)
+        assert not gap_vanishes(NAN, 1.0, 1.0)
+        assert not gap_vanishes(0.0, NAN, 1.0) and not gap_vanishes(0.0, 1.0, NAN)
         assert not dominant(np.array([NAN]), np.array([1.0]))[0]
         with pytest.raises(UnequalMassError):
             check_balanced(NAN, 1.0)
 
     def test_bounds_are_inclusive(self):
-        assert gap_vanishes(RTOL * 3.0, 2.0) and not gap_vanishes(RTOL * 3.1, 2.0)
+        # a gap integrated over a plan of mass 4 may reach 4 tol, either sign
+        assert gap_vanishes(0.5, 0.125, 4.0) and gap_vanishes(-0.5, 0.125, 4.0)
+        assert not gap_vanishes(0.5 + 2**-50, 0.125, 4.0)
+        assert gap_vanishes(0.0, 0.0, 1.0) and not gap_vanishes(2**-1074, 0.0, 1.0)
         assert masses_close(1.0, 1.0 + RTOL / 2) and not masses_close(1.0, 1.0 + 2 * RTOL)
         assert dominant(np.array([1.0 - RTOL]), np.array([1.0]))[0]
 
