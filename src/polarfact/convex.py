@@ -107,8 +107,8 @@ def fenchel_conjugate(psi: ConvexPotential, query) -> float:
     return float(np.max(conjugate_scores(psi, query)))
 
 
-def conjugate_scores_many(psi: ConvexPotential, queries: np.ndarray) -> np.ndarray:
-    """Scores q . y_j - psi_j, one row per query of a (k, n) array."""
+def conjugate_many(psi: ConvexPotential, queries: np.ndarray) -> np.ndarray:
+    """Vectorised conjugate for a (k, n) array of query points."""
     q = np.asarray(queries, dtype=float)
     if q.ndim == 1:
         q = q.reshape(1, -1)
@@ -116,12 +116,7 @@ def conjugate_scores_many(psi: ConvexPotential, queries: np.ndarray) -> np.ndarr
         raise DimensionMismatchError(
             f"queries have dimension {q.shape[1]}, support {psi.dimension}"
         )
-    return q @ psi.support.coords.T - psi.psi_values[None, :]
-
-
-def conjugate_many(psi: ConvexPotential, queries: np.ndarray) -> np.ndarray:
-    """Vectorised conjugate for a (k, n) array of query points."""
-    return np.max(conjugate_scores_many(psi, queries), axis=1)
+    return np.max(q @ psi.support.coords.T - psi.psi_values[None, :], axis=1)
 
 
 def fenchel_gap(psi: ConvexPotential, u_value, y_index: int) -> float:
@@ -139,10 +134,9 @@ def fenchel_gap(psi: ConvexPotential, u_value, y_index: int) -> float:
 
 def fenchel_gap_many(psi: ConvexPotential, u_values: np.ndarray, y_indices: np.ndarray) -> np.ndarray:
     """Vectorised gaps for paired (u_value, site) samples."""
-    return gaps_from_scores(conjugate_scores_many(psi, u_values), y_indices)
-
-
-def gaps_from_scores(scores: np.ndarray, y_indices: np.ndarray) -> np.ndarray:
-    """Each score row's max minus its entry at the paired site index."""
+    q = np.asarray(u_values, dtype=float)
+    if q.ndim == 1:
+        q = q.reshape(1, -1)
+    scores = q @ psi.support.coords.T - psi.psi_values[None, :]
     idx = np.asarray(y_indices, dtype=int)
-    return np.max(scores, axis=1) - scores[np.arange(scores.shape[0]), idx]
+    return np.max(scores, axis=1) - scores[np.arange(q.shape[0]), idx]

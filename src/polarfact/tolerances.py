@@ -1,10 +1,10 @@
 """The tolerance policy: every threshold a result is compared against.
 
 Masses are compared relative to their own size.  Anything computed from
-costs or potentials is judged by ``solver_tol`` of the matrix it was
-taken from, and a gap integrated over a plan by that tolerance times the
-plan's mass.  No bound has a floor.  Predicates are written
-``value <= bound``, so a NaN never passes.
+costs or potentials is judged at ``SOLVER_RTOL`` relative to the
+magnitudes of the terms it was computed from: the simplex's tests on C by
+``solver_tol``, and every gap by ``gap_vanishes``.  No bound has a floor.
+Predicates are written ``value <= bound``, so a NaN never passes.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import numpy as np
 from .errors import UnequalMassError
 
 RTOL = 1e-9  # relative: masses
+SOLVER_RTOL = 1e-11  # relative: anything computed from costs or potentials
 EXACT_RTOL = 1e-12  # relative: masses that only rounding may separate
 DOMINANT_FRACTION = 1.0 - RTOL  # share of its row's or site's mass a dominant cell carries
 
@@ -34,10 +35,10 @@ def check_balanced(total_a: float, total_b: float, rtol: float = RTOL) -> None:
         raise UnequalMassError(f"total masses differ: {total_a!r} vs {total_b!r}")
 
 
-def gap_vanishes(gap: float, tol: float, mass: float) -> bool:
-    """True when a gap integrated over a plan of total ``mass`` is zero at
-    ``tol`` per unit of mass."""
-    return abs(gap) <= tol * mass
+def gap_vanishes(gap, magnitude):
+    """True where a gap is zero relative to the magnitude of the terms it
+    was summed from; elementwise on arrays."""
+    return np.abs(gap) <= SOLVER_RTOL * magnitude
 
 
 def dominant(mass, total):
@@ -45,7 +46,7 @@ def dominant(mass, total):
 
 
 def solver_tol(C: np.ndarray) -> float:
-    """The simplex's pricing and zero-slack tolerance, and the bound on every
-    gap read from C or from a matrix of the same kind; relative to max|C|."""
-    return 1e-11 * float(np.max(np.abs(C))) if C.size else 0.0
+    """The simplex's pricing and zero-slack tolerance, and the bound on the
+    gaps read from its duals' reduced costs; relative to max|C|."""
+    return SOLVER_RTOL * float(np.max(np.abs(C))) if C.size else 0.0
 

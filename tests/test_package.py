@@ -32,7 +32,7 @@ def _package_trees(skip="tolerances.py"):
 
 def test_relative_bounds_are_judged_in_the_tolerances_module():
     # a relative tolerance may be handed to a predicate, never applied in place
-    names = {"RTOL", "EXACT_RTOL", "DOMINANT_FRACTION"}
+    names = {"RTOL", "SOLVER_RTOL", "EXACT_RTOL", "DOMINANT_FRACTION"}
     found = []
     for name, tree in _package_trees():
         handed_on = set()

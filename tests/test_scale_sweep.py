@@ -2,8 +2,10 @@
 
 The certificates read the duals' reduced costs, which hold no |y|^2 term,
 so an offset leaves them exact, and they are judged by ``solver_tol``,
-relative to max|C|, so x1e-4 and x1e6 certify like x1.  The duality gap,
-an integral over the plan, is judged by that tolerance times the mass.
+relative to max|C|, so x1e-4 and x1e6 certify like x1.  One case still
+fails and is a strict xfail, so it fails the run as soon as it passes and
+the mark must then be removed: coordinates near 1e153 cancel the dual
+value to 0.
 
 The paper's observables, the degeneracy and split indices, are checked the
 same way on the injective-control gallery instance, from x1e-6 to x1e3:
@@ -13,9 +15,10 @@ their zero test, ``solver_tol``, is relative to max|C|.
 import numpy as np
 import pytest
 
+from polarfact.errors import NumericalFailureError
 from polarfact.measures import DiscreteMeasure, SampledMap
 from polarfact.polar import degeneracy_report, gallery_instance, polar_factorize
-from polarfact.transport import build_cost, duality_certificate, solve_mk
+from polarfact.transport import build_cost, solve_mk
 
 # (coordinate scale, coordinate offset)
 PASSING = {
@@ -49,17 +52,18 @@ def test_certified_at_scale(name, seed):
     assert result.conjugate_identity_error <= tol
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=NumericalFailureError,
+    reason="ROADMAP item 4: duals near 1e306 cancel the dual value to 0",
+)
 def test_extreme_finite_1d_instance_certified():
-    """Optimum 1/6, while the strictified duals give a dual value of 0; the
-    gap, 1/6, is below ``cost.tol`` times the mass (about 2e295), so it is
-    certified on the cost's scale."""
+    """Optimum 1/6, but duals near 1e306 cancel the dual value to 0."""
     X = DiscreteMeasure.uniform(3, prefix="x")
     Y = DiscreteMeasure.uniform(3, coords=np.array([[1e153], [-1e153], [1.0]]), prefix="y")
     u = SampledMap(X, np.array([-1e153, 0.0, 1e153]))
-    cost = build_cost(u, Y)
-    plan, duals = solve_mk(cost, X, Y)
+    plan, _ = solve_mk(build_cost(u, Y), X, Y)
     assert plan.n_triplets == 3
-    assert duality_certificate(plan, duals, cost)["I"] == pytest.approx(1 / 6)
 
 
 # the injective-control grid's reduced costs scale by s^2, and so does

@@ -7,6 +7,7 @@ from polarfact.errors import UnequalMassError
 from polarfact.measures import DiscreteMeasure, SampledMap
 from polarfact.tolerances import (
     RTOL,
+    SOLVER_RTOL,
     check_balanced,
     dominant,
     gap_vanishes,
@@ -20,17 +21,20 @@ NAN = math.nan
 class TestPredicates:
     def test_nan_never_passes(self):
         assert not masses_close(NAN, 1.0) and not masses_close(1.0, NAN)
-        assert not gap_vanishes(NAN, 1.0, 1.0)
-        assert not gap_vanishes(0.0, NAN, 1.0) and not gap_vanishes(0.0, 1.0, NAN)
+        assert not gap_vanishes(NAN, 1.0) and not gap_vanishes(0.0, NAN)
+        assert not gap_vanishes(np.array([0.0, NAN]), 1.0).all()
         assert not dominant(np.array([NAN]), np.array([1.0]))[0]
         with pytest.raises(UnequalMassError):
             check_balanced(NAN, 1.0)
 
     def test_bounds_are_inclusive(self):
-        # a gap integrated over a plan of mass 4 may reach 4 tol, either sign
-        assert gap_vanishes(0.5, 0.125, 4.0) and gap_vanishes(-0.5, 0.125, 4.0)
-        assert not gap_vanishes(0.5 + 2**-50, 0.125, 4.0)
-        assert gap_vanishes(0.0, 0.0, 1.0) and not gap_vanishes(2**-1074, 0.0, 1.0)
+        # relative to the magnitude of its terms, either sign, with no floor
+        bound = SOLVER_RTOL * 4.0
+        assert gap_vanishes(bound, 4.0) and gap_vanishes(-bound, 4.0)
+        assert not gap_vanishes(np.nextafter(bound, 1.0), 4.0)
+        assert gap_vanishes(0.0, 0.0) and not gap_vanishes(2**-1074, 0.0)
+        pair = gap_vanishes(np.array([bound, 2 * bound]), np.array([4.0, 4.0]))
+        assert list(pair) == [True, False]
         assert masses_close(1.0, 1.0 + RTOL / 2) and not masses_close(1.0, 1.0 + 2 * RTOL)
         assert dominant(np.array([1.0 - RTOL]), np.array([1.0]))[0]
 
