@@ -10,7 +10,6 @@ when their laws coincide.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -201,11 +200,6 @@ def _lex_order(values: np.ndarray) -> np.ndarray:
     return np.lexsort(tuple(values[:, k] for k in reversed(range(values.shape[1]))))
 
 
-_LAWS_KEPT = 4
-_laws: dict = {}  # content key -> ValueLaw, least recently used first
-_laws_lock = threading.Lock()
-
-
 def value_law(map: SampledMap, cluster_tol: float = 0.0) -> ValueLaw:
     """Cluster the map's values and return the induced (value, mass) atoms.
 
@@ -221,13 +215,8 @@ def value_law(map: SampledMap, cluster_tol: float = 0.0) -> ValueLaw:
     pairwise sum from 8 on.  Atom masses always sum to the domain's total
     mass; an empty map has the empty law.
 
-    The law is a pure function of cluster_tol and the shape and bytes of
-    the map's values and domain weights, so the laws of the last four
-    distinct calls are cached under that content: a call with equal
-    content returns the same law object, whichever map it comes from.  A
-    returned law is therefore shared, and its ``values`` and ``masses``
-    are read-only.  Inputs are neither copied nor frozen; a map changed in
-    place has new content and gets a new law.
+    Each call computes a fresh law that shares no array with the map or
+    with any other call; a caller that needs the law twice keeps it.
     """
     if not np.isfinite(cluster_tol):
         raise ValueError("cluster_tol must be finite")
@@ -236,17 +225,7 @@ def value_law(map: SampledMap, cluster_tol: float = 0.0) -> ValueLaw:
     vals, w = map.values, map.domain.weights
     if cluster_tol and float(np.max(np.abs(vals), initial=0.0)) / cluster_tol == np.inf:
         raise ValueError(f"cluster_tol {cluster_tol!r} is too small: values / cluster_tol overflow")
-    key = (cluster_tol, vals.shape, vals.tobytes(), w.tobytes())
-    with _laws_lock:
-        law = _laws.pop(key, None)
-        if law is None:
-            law = _compute_law(vals, w, cluster_tol)
-            law.values.flags.writeable = False
-            law.masses.flags.writeable = False
-            if len(_laws) >= _LAWS_KEPT:
-                del _laws[next(iter(_laws))]
-        _laws[key] = law
-    return law
+    return _compute_law(vals, w, cluster_tol)
 
 
 def _compute_law(vals: np.ndarray, w: np.ndarray, cluster_tol: float) -> ValueLaw:

@@ -33,7 +33,7 @@ from .measures import (
     ValueLaw,
     value_law,
 )
-from .tolerances import dominant
+from .tolerances import dominant, masses_close
 from .transport import build_cost, solve_mk
 
 
@@ -279,7 +279,10 @@ def monotone_rearrangement(
     max_gap = float(np.max(reduced[best_row, np.arange(target.size)] - row_min[best_row]))
     if not max_gap <= duals.cost_ref.tol:
         raise NumericalFailureError(f"subdifferential certificate failed: max gap {max_gap!r}")
-    if not value_law(u_sharp, cluster_tol).matches(law):
+    # u_sharp takes atom best_row[j] at site j, so its law is the law of u
+    # when every atom receives its own mass
+    hit = np.bincount(best_row, weights=target.weights, minlength=law.n_atoms)
+    if not np.all(masses_close(hit, law.masses)):
         raise NumericalFailureError("rearrangement output is not equimeasurable with input")
     return u_sharp, psi
 

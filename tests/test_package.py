@@ -88,3 +88,44 @@ def test_no_module_reads_the_environment():
         or isinstance(node, ast.alias) and node.name in ("environ", "getenv", "environb")
     ]
     assert found == []
+
+
+# waiting on the re-pin of perfbench's per-op solve count, which deleting
+# the solve cache moves
+STATE_WAITING = {("transport.py", "_reuse")}
+STATEFUL_CALLS = {"dict", "list", "set", "defaultdict", "OrderedDict", "Lock", "RLock", "ContextVar"}
+CONTAINERS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+
+
+def _holds_state(value) -> bool:
+    if isinstance(value, ast.Call):
+        return (getattr(value.func, "id", None) or getattr(value.func, "attr", None)) in STATEFUL_CALLS
+    return isinstance(value, CONTAINERS)
+
+
+def _imports_threading(node) -> bool:
+    if isinstance(node, ast.Import):
+        return any(a.name.split(".")[0] == "threading" for a in node.names)
+    return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "threading"
+
+
+def test_no_module_level_state():
+    # a module-level container, lock or context variable is state that every
+    # caller in the process shares; a result is handed to its caller instead
+    found = []
+    for name, tree in _package_trees(skip=None):
+        found += [f"{name}:{node.lineno}: threading" for node in ast.walk(tree) if _imports_threading(node)]
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+                targets = [node.target]
+            else:
+                continue
+            found += [
+                f"{name}:{node.lineno}: {t.id}"
+                for t in targets
+                if isinstance(t, ast.Name) and _holds_state(node.value)
+                and t.id != "__all__" and (name, t.id) not in STATE_WAITING
+            ]
+    assert found == []

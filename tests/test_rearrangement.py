@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from polarfact import rearrangement
 from polarfact.convex import fenchel_gap
 from polarfact.errors import (
     MultiCarrierAtomError,
+    NumericalFailureError,
     SplitAtomError,
     UnknownHeavyAtomError,
 )
@@ -270,3 +272,30 @@ class TestMonotoneRearrangement:
         np.testing.assert_array_equal(
             u_sharp.values[np.argsort(Y.coords[:, 0]), 0], np.sort(u.values[:, 0])
         )
+
+    def test_output_that_drops_an_atom_is_not_equimeasurable(self, monkeypatch):
+        # with every site taken as dominant, the one site at 0.5 keeps the
+        # value 0 of the two atoms it receives: the atom at 1 is lost
+        monkeypatch.setattr(
+            rearrangement, "dominant", lambda mass, total: np.ones(np.shape(total), dtype=bool)
+        )
+        u = SampledMap(uniform(2), [[0.0], [1.0]])
+        with pytest.raises(NumericalFailureError, match="not equimeasurable"):
+            monotone_rearrangement(u, line_sites([0.5]))
+
+    @pytest.mark.parametrize("mode", ["strict", "refine"])
+    def test_computes_one_value_law(self, monkeypatch, mode):
+        # the equimeasurability certificate reads the input's law; the
+        # refine instance splits its middle site
+        laws = []
+
+        def counting_value_law(map, cluster_tol=0.0):
+            laws.append(value_law(map, cluster_tol))
+            return laws[-1]
+
+        monkeypatch.setattr(rearrangement, "value_law", counting_value_law)
+        u = SampledMap(uniform(2), [[0.0], [1.0]])
+        sites = [0.0, 1.0] if mode == "strict" else [0.0, 0.5, 1.0]
+        u_sharp, _ = monotone_rearrangement(u, line_sites(sites), mode=mode)
+        assert len(laws) == 1
+        assert equimeasurable(u_sharp, u)
