@@ -22,7 +22,7 @@ import numpy as np
 from . import io
 from .convex import fenchel_gap_many
 from .errors import NumericalFailureError, PolarfactError, SplitAtomError
-from .measures import equimeasurable, validate
+from .measures import _check_comparable, validate, value_law
 from .polar import (
     degeneracy_report,
     gallery_instance,
@@ -32,7 +32,8 @@ from .polar import (
 )
 from .rearrangement import (
     HeavyAtoms,
-    construct_m_to_1,
+    _m_to_1,
+    _report,
     monotone_rearrangement,
     multiplicity_report,
 )
@@ -64,17 +65,25 @@ def _validate(args: argparse.Namespace) -> None:
             raise ValueError(f"cluster tolerance must be >= 0, got {args.cluster_tol!r}")
 
 
-def _emit(args: argparse.Namespace, doc, csv_text: str, table_text: str, path=None) -> None:
-    """Render doc in the chosen format to ``path``, else ``--out``, else stdout."""
+def _emit(args: argparse.Namespace, doc, csv, text, path=None) -> None:
+    """Render doc in the chosen format to ``path``, else ``--out``, else
+    stdout.  ``csv`` and ``text`` build the other two renderings and are
+    called only for their own format."""
     if args.format == "json":
         rendered = io.dumps(doc)
     else:
-        rendered = csv_text if args.format == "csv" else table_text
+        rendered = csv() if args.format == "csv" else text()
     path = path or args.out
     if path:
         io.write_text(path, rendered)
     else:
         sys.stdout.write(rendered)
+
+
+def _rows_renderers(rows, columns):
+    """CSV and table renderers of the rows that ``rows()`` builds."""
+    return (lambda: io.rows_to_csv(rows(), columns),
+            lambda: io.rows_to_table(rows(), columns))
 
 
 def _read_instance(args: argparse.Namespace):
@@ -109,7 +118,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         f"I = {cert['I']:.12g}\ndual value = {cert['dual_value']:.12g}\n"
         f"gap = {cert['gap']:.3e}\ntriplets = {plan.n_triplets}\n"
     )
-    _emit(args, doc, io.plan_to_csv(plan), summary)
+    _emit(args, doc, lambda: io.plan_to_csv(plan), lambda: summary)
     return EXIT_OK
 
 
@@ -135,7 +144,7 @@ def cmd_factorize(args: argparse.Namespace) -> int:
         f"I = {result.certificate['I']:.12g}\n"
         f"duality gap = {result.certificate['gap']:.3e}\n"
     )
-    _emit(args, doc, io.plan_to_csv(result.plan), summary)
+    _emit(args, doc, lambda: io.plan_to_csv(result.plan), lambda: summary)
     return EXIT_OK if result.is_factorisation else EXIT_NEGATIVE
 
 
@@ -143,20 +152,25 @@ def cmd_rearrange(args: argparse.Namespace) -> int:
     v = io.read_sampled_map(args.u_path)
     validate(v.domain)
     heavy = HeavyAtoms.none() if args.heavy_path is None else io.read_heavy(args.heavy_path)
-    u = construct_m_to_1(v, args.m, heavy, args.cluster_tol)
-    if not equimeasurable(u, v, args.cluster_tol):
+    # each law once: v's builds u and certifies it, u's certifies it and
+    # gives the report
+    v_law = value_law(v, args.cluster_tol)
+    u = _m_to_1(v, v_law, args.m, heavy)
+    _check_comparable(u, v)
+    u_law = value_law(u, args.cluster_tol)
+    if not u_law.matches(v_law):
         print("certification failure: output is not equimeasurable", file=sys.stderr)
         return EXIT_CERTIFICATE
-    report = multiplicity_report(u, heavy, args.cluster_tol)
+    report = _report(u_law, heavy)
     doc = {
         "map": io.sampled_map_to_dict(u),
         "report": io.multiplicity_report_to_dict(report),
     }
-    columns = ["value", "mass", "point_count", "heavy"]
-    rows = [
-        {**row, "value": json.dumps(row["value"])} for row in report.rows()
-    ]
-    _emit(args, doc, io.rows_to_csv(rows, columns), io.rows_to_table(rows, columns))
+
+    def rows():
+        return [{**row, "value": json.dumps(row["value"])} for row in report.rows()]
+
+    _emit(args, doc, *_rows_renderers(rows, ["value", "mass", "point_count", "heavy"]))
     return EXIT_OK
 
 
@@ -171,11 +185,12 @@ def cmd_monotone(args: argparse.Namespace) -> int:
         "max_gap": float(np.max(gaps)),
     }
     summary = f"sites = {u_sharp.domain.size}\nmax gap = {float(np.max(gaps)):.3e}\n"
-    rows = [
-        {"label": lbl, "value": json.dumps(u_sharp.values[k].tolist())}
-        for k, lbl in enumerate(u_sharp.domain.labels)
-    ]
-    _emit(args, doc, io.rows_to_csv(rows, ["label", "value"]), summary)
+
+    def rows():
+        return [{"label": lbl, "value": json.dumps(u_sharp.values[k].tolist())}
+                for k, lbl in enumerate(u_sharp.domain.labels)]
+
+    _emit(args, doc, lambda: io.rows_to_csv(rows(), ["label", "value"]), lambda: summary)
     return EXIT_OK
 
 
@@ -203,13 +218,13 @@ def cmd_gallery(args: argparse.Namespace) -> int:
         "multiplicity": io.multiplicity_report_to_dict(mult),
     }
     ext = {"json": "json", "csv": "csv", "text": "txt"}[args.format]
-    rows = [
-        {"key": k, "value": json.dumps(v) if isinstance(v, (dict, list)) else v}
-        for k, v in report.items()
-        if k not in ("multiplicity", "zero_column_counts")
-    ]
-    _emit(args, report, io.rows_to_csv(rows, ["key", "value"]),
-          io.rows_to_table(rows, ["key", "value"]), os.path.join(out_dir, f"report.{ext}"))
+
+    def rows():
+        return [{"key": k, "value": json.dumps(v) if isinstance(v, (dict, list)) else v}
+                for k, v in report.items() if k not in ("multiplicity", "zero_column_counts")]
+
+    _emit(args, report, *_rows_renderers(rows, ["key", "value"]),
+          os.path.join(out_dir, f"report.{ext}"))
     return EXIT_OK
 
 
@@ -241,8 +256,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _emit_verify(args: argparse.Namespace, doc: dict) -> None:
-    rows = [{"key": k, "value": v} for k, v in doc.items()]
-    _emit(args, doc, io.rows_to_csv(rows, ["key", "value"]), io.rows_to_table(rows, ["key", "value"]))
+    def rows():
+        return [{"key": k, "value": v} for k, v in doc.items()]
+
+    _emit(args, doc, *_rows_renderers(rows, ["key", "value"]))
 
 
 # ---------------------------------------------------------------------------

@@ -281,10 +281,15 @@ def _compute_law(vals: np.ndarray, w: np.ndarray, cluster_tol: float) -> ValueLa
 
 def equimeasurable(f: SampledMap, g: SampledMap, cluster_tol: float = 0.0) -> bool:
     """True iff f and g push their domain measures to the same value law."""
+    _check_comparable(f, g)
+    return value_law(f, cluster_tol).matches(value_law(g, cluster_tol))
+
+
+def _check_comparable(f: SampledMap, g: SampledMap) -> None:
+    """Raise unless f and g share their codomain dimension and total mass."""
     if f.codomain_dimension != g.codomain_dimension:
         raise DimensionMismatchError(
             f"codomain dimensions differ: {f.codomain_dimension} vs {g.codomain_dimension}"
         )
     check_balanced(f.domain.total_mass, g.domain.total_mass, EXACT_RTOL)
-    return value_law(f, cluster_tol).matches(value_law(g, cluster_tol))
 

@@ -131,9 +131,13 @@ def construct_m_to_1(
     weight sequences coincide, so the output law equals the input law
     exactly.
     """
+    return _m_to_1(v, value_law(v, cluster_tol), m, heavy)
+
+
+def _m_to_1(v: SampledMap, law: ValueLaw, m: int, heavy) -> SampledMap:
+    """``construct_m_to_1`` on v's value law ``law``."""
     if m < 1:
         raise ValueError(f"refinement factor must be >= 1, got {m}")
-    law = value_law(v, cluster_tol)
     heavy_idx = (HeavyAtoms.none() if heavy is None else heavy).atom_indices(law)
     counts = np.fromiter(map(len, law.members), dtype=np.intp, count=law.n_atoms)
     is_heavy = np.zeros(law.n_atoms, dtype=bool)
@@ -221,7 +225,11 @@ class MultiplicityReport:
 
 def multiplicity_report(u: SampledMap, heavy=None, cluster_tol: float = 0.0) -> MultiplicityReport:
     """Count carriers per value atom and summarise the level-set structure."""
-    law = value_law(u, cluster_tol)
+    return _report(value_law(u, cluster_tol), heavy)
+
+
+def _report(law: ValueLaw, heavy) -> MultiplicityReport:
+    """``multiplicity_report`` on a map's value law ``law``."""
     heavy_idx = (HeavyAtoms.none() if heavy is None else heavy).atom_indices(law)
     counts = np.array([len(ms) for ms in law.members], dtype=int)
     return MultiplicityReport(law.values, law.masses, counts, heavy_idx)

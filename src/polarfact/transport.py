@@ -26,15 +26,21 @@ In one dimension sorting is the solver.  ``build_cost`` records the stable
 sort orders of the values and of the sites, and the simplex then starts
 from the north-west corner basis of the sorted supports: quadratic cost on
 sorted points is a Monge array, so that staircase is an optimal basis
-(Hoffman 1963) and its duals price every cell non-negative.  Pricing still
-certifies it, and a reduced cost that rounding leaves below the tolerance
-is pivoted away as usual.  Other instances start from the row-minimum
-basis.  Pivot counts, degenerate pivots (step exactly zero) and the start
-used are logged at DEBUG level on the ``polarfact`` logger, with the
-number of full and partial pricing passes.
+(Hoffman 1963) and its duals price every cell non-negative.  Its duals
+come from one sweep along the staircase, and pricing still certifies it.
+When no reduced cost is below the tolerance the staircase itself is the
+result: no tree is built, the plan is its positive cells, and
+strictification reads the ranks of its support components as run lengths
+along it whenever its zero-slack cells are its own.  A reduced cost that
+rounding leaves below the tolerance gets the staircase a tree and is
+pivoted away as usual.  Other instances start from the row-minimum basis.
+Pivot counts, degenerate pivots (step exactly zero) and the start used are
+logged at DEBUG level on the ``polarfact`` logger, with the number of full
+and partial pricing passes.
 
-Duals are rooted at the first target site (phi(y_1) = 0) and recomputed
-exactly from the final tree, so complementary slackness holds to float
+Duals are rooted at the first target site (phi(y_1) = 0) and computed
+exactly from the final basis, by the subtractions along its tree (or
+staircase) from the root, so complementary slackness holds to float
 precision on the support and the duality gap of the returned pair is zero
 up to accumulation error.  The tolerance is ``cost.tol``, computed once per
 ``CostMatrix``; the ``DualPair`` holds read-only duals and builds their
@@ -319,7 +325,47 @@ def _ranks(n_nodes: int, edges) -> np.ndarray:
 _GAMMA_BLOCK = 1 << 14  # cells per row block of the step-size scan
 
 
-def _strictify_duals(rows, cols, slack, alpha, beta, zero_tol):
+def _streaks(flags: np.ndarray) -> np.ndarray:
+    """Number of consecutive True flags that end at each position."""
+    k = np.arange(flags.size)
+    return k - np.maximum.accumulate(np.where(flags, -1, k))
+
+
+def _chain_ranks(staircase, tight: np.ndarray):
+    """The ranks ``_ranks`` gives a staircase basis that no pivot changed,
+    read off the staircase, or None where they cannot be.
+
+    When the tight cells are exactly the staircase cells and every
+    zero-mass cell is a corner between two positive ones, the support
+    components are the runs of positive cells, and each zero-mass cell
+    links two neighbouring runs, from its row's run to its column's run.
+    The condensation is then a path, and a run's rank is the longer of the
+    two streaks of links pointing the same way that end at it.
+    """
+    m, n = tight.shape
+    rows, cols, masses = staircase
+    if np.count_nonzero(tight) != m + n - 1 or not tight[rows, cols].all():
+        return None
+    zero = ~(masses > 0.0)
+    if zero[0] or zero[-1] or np.any(zero[1:] & zero[:-1]):
+        return None
+    same_row = rows[1:] == rows[:-1]  # cells k and k + 1 share their row
+    z = np.flatnonzero(zero)
+    # a zero cell sharing the same node with both neighbours leaves its
+    # other node out of every run
+    if np.any(same_row[z - 1] == same_row[z]):
+        return None
+    right = same_row[z - 1]  # the row's run is on the left
+    run_rank = np.zeros(z.size + 1, dtype=int)
+    run_rank[1:] = _streaks(right)
+    run_rank[:-1] = np.maximum(run_rank[:-1], _streaks(~right[::-1])[::-1])
+    run = np.cumsum(zero)[~zero]
+    rank = np.empty(m + n, dtype=int)
+    rank[rows[~zero]] = rank[m + cols[~zero]] = run_rank[run]
+    return rank
+
+
+def _strictify_duals(rows, cols, slack, alpha, beta, zero_tol, staircase=None):
     """Open positive slack between support components where the optimal face
     allows it, keeping feasibility, support tightness and the gauge.
 
@@ -334,15 +380,19 @@ def _strictify_duals(rows, cols, slack, alpha, beta, zero_tol):
     the reduced costs (C - alpha) - beta of the duals given.  The ranks are
     taken on the rows and then the columns: each row points to its
     zero-slack columns and each support cell both ways, which makes every
-    support component strongly connected.
+    support component strongly connected.  A ``staircase`` basis that no
+    pivot changed often gives the ranks as run lengths (``_chain_ranks``).
     """
     m, n = slack.shape
     if rows.size == m + n - 1:  # the support spans a tree: one component
         return alpha, beta
-    tight = np.flatnonzero(slack <= zero_tol)
-    cols = m + cols
-    rank = _ranks(m + n, (np.concatenate([tight // n, rows, cols]),
-                          np.concatenate([m + tight % n, cols, rows])))
+    tight = slack <= zero_tol
+    rank = None if staircase is None else _chain_ranks(staircase, tight)
+    if rank is None:
+        tight = np.flatnonzero(tight)
+        cols = m + cols
+        rank = _ranks(m + n, (np.concatenate([tight // n, rows, cols]),
+                              np.concatenate([m + tight % n, cols, rows])))
     # only cells whose shift goes against the slack constrain the step size:
     # gamma * (rank of row - rank of column) <= slack wherever that drop is
     # > 0.  Such a cell is never tight (the column of a tight cell outranks
@@ -381,6 +431,9 @@ class _Simplex:
     rooted at the first column (node m): ``parent[v]`` and ``depth[v]``
     place node v in it, ``children[v]`` lists the nodes hanging below v,
     and ``flow[v]`` is the mass on the basic cell joining v to its parent.
+    A north-west corner start is held as ``staircase``, the rows, columns
+    and masses of its cells in staircase order, until the first pivot
+    builds its tree; it stays None otherwise.
     """
 
     def __init__(self, C: np.ndarray, a: np.ndarray, b: np.ndarray, tol: float):
@@ -407,6 +460,7 @@ class _Simplex:
         # dual may have moved since the last pricing pass
         self._moved = None
         self.full_passes = self.partial_passes = 0
+        self.staircase = None
 
     def _cell(self, v: int) -> tuple:
         """The basic cell joining node v to its parent."""
@@ -509,6 +563,26 @@ class _Simplex:
                 stack.append(nxt)
         self.pot[:] = pot
         self._moved = None
+
+    def _staircase_duals(self) -> None:
+        """Exact duals of the staircase basis, rooted at the first column
+        (beta_0 = 0), with the subtractions ``_recompute_duals`` makes on
+        its tree.  Consecutive cells share a row or a column; sweeping
+        forward and then backward from the first cell in column 0, each
+        cell's shared node, the one nearer the root, is already set."""
+        C, m = self.C, self.m
+        rows, cols = (a.tolist() for a in self.staircase[:2])
+        pot = [0.0] * (m + self.n)
+        first = cols.index(0)
+        for sweep, shared in ((zip(rows[first:], cols[first:]), -1),
+                              (zip(reversed(rows[:first]), reversed(cols[:first])), rows[first])):
+            for i, j in sweep:
+                if i == shared:
+                    pot[m + j] = C.item(i, j) - pot[i]
+                else:
+                    pot[i] = C.item(i, j) - pot[m + j]
+                shared = i
+        self.pot[:] = pot
 
     # -- pivoting ----------------------------------------------------------------
     def _entering(self):
@@ -627,17 +701,18 @@ class _Simplex:
         supports permuted by ``order`` (row and column permutations), or
         from the row-minimum basis without one; returns the pivot count.
         Either start is accepted only once pricing finds no negative
-        reduced cost."""
+        reduced cost.  The staircase gets a tree only if it needs a pivot."""
         if order is None:
-            start = self._initial_basis()
+            self._build_tree(self._initial_basis())
+            self._recompute_duals()
         else:
             # the m+n-1 staircase cells, zero cells kept, span all nodes
-            rows, cols = order[0].tolist(), order[1].tolist()
-            cells = _northwest_cells(self.a[order[0]], self.b[order[1]], cols.index(0))
-            start = [(rows[i], cols[j], t) for i, j, t in cells]
-        self._build_tree(start)
-        self._recompute_duals()
-        fresh = True  # the duals are a recompute from the current tree
+            root = int(np.flatnonzero(order[1] == 0)[0])
+            cells = _northwest_cells(self.a[order[0]], self.b[order[1]], root)
+            i, j, t = (np.array(x) for x in zip(*cells))
+            self.staircase = (order[0][i], order[1][j], t)
+            self._staircase_duals()
+        fresh = True  # the duals are exact duals of the current basis
         # the cap and the re-pricing below guard against float drift
         hard_cap = 200 * (self.m + self.n) + 2 * self.m * self.n + 10_000
         pivots = 0
@@ -650,6 +725,9 @@ class _Simplex:
                 self._recompute_duals()
                 fresh = True
                 continue
+            if self.staircase is not None:  # the first pivot needs the tree
+                self._build_tree(list(zip(*(a.tolist() for a in self.staircase))))
+                self.staircase = None
             if self._pivot(*cell) == 0.0:
                 self.degenerate_pivots += 1
             fresh = False
@@ -660,17 +738,23 @@ class _Simplex:
     def plan_triplets(self):
         """Rows, columns and masses of the basic cells with positive mass,
         in row-major order."""
-        m = self.m
-        parent = np.array(self.parent)
-        flow = np.array(self.flow, dtype=float)
-        flow[m] = 0.0  # the root has no cell
-        node = np.flatnonzero(flow > 0.0)
-        up = parent[node]
-        is_row = node < m
-        rows = np.where(is_row, node, up)
-        cols = np.where(is_row, up, node) - m
+        if self.staircase is not None:
+            rows, cols, flow = self.staircase
+            positive = flow > 0.0
+            rows, cols, flow = rows[positive], cols[positive], flow[positive]
+        else:
+            m = self.m
+            parent = np.array(self.parent)
+            flow = np.array(self.flow, dtype=float)
+            flow[m] = 0.0  # the root has no cell
+            node = np.flatnonzero(flow > 0.0)
+            up = parent[node]
+            is_row = node < m
+            rows = np.where(is_row, node, up)
+            cols = np.where(is_row, up, node) - m
+            flow = flow[node]
         order = np.lexsort((cols, rows))
-        return rows[order], cols[order], flow[node[order]]
+        return rows[order], cols[order], flow[order]
 
 
 # inside ``reusing_solves``: [key, solution] of the block's last certified
@@ -714,7 +798,8 @@ def _simplex_solution(cost: CostMatrix, mu: DiscreteMeasure, nu: DiscreteMeasure
     rows, cols, masses = sx.plan_triplets()
     # the pricing buffer holds the reduced costs of the current duals after
     # every pricing pass, full or partial, and solve returns right after one
-    alpha, beta = _strictify_duals(rows, cols, sx._reduced, sx.alpha, sx.beta, sx.tol)
+    alpha, beta = _strictify_duals(rows, cols, sx._reduced, sx.alpha, sx.beta, sx.tol,
+                                   sx.staircase)
     return rows, cols, masses, alpha, beta
 
 

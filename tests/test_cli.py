@@ -5,10 +5,11 @@ import os
 import numpy as np
 import pytest
 
-from polarfact import cli, io, polar, transport
+from polarfact import cli, io, measures, polar, rearrangement, transport
 from polarfact.cli import main
 from polarfact.errors import SplitAtomError
-from polarfact.measures import DiscreteMeasure, SampledMap
+from polarfact.measures import DiscreteMeasure, SampledMap, equimeasurable
+from polarfact.rearrangement import HeavyAtoms, construct_m_to_1, multiplicity_report
 
 
 def write(path, text):
@@ -262,6 +263,50 @@ class TestRearrange:
         assert "no atom matches" not in err
 
 
+class TestRearrangeLaws:
+    """``rearrange`` computes the law of its input and of its output once
+    each, and writes what the public functions give."""
+
+    @staticmethod
+    def expected(v, m, heavy, fmt):
+        # the command as composed from the public functions, which compute
+        # four laws
+        u = construct_m_to_1(v, m, heavy)
+        assert equimeasurable(u, v)
+        report = multiplicity_report(u, heavy)
+        if fmt == "json":
+            return io.dumps({"map": io.sampled_map_to_dict(u),
+                             "report": io.multiplicity_report_to_dict(report)})
+        columns = ["value", "mass", "point_count", "heavy"]
+        rows = [{**row, "value": json.dumps(row["value"])} for row in report.rows()]
+        render = io.rows_to_csv if fmt == "csv" else io.rows_to_table
+        return render(rows, columns)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_two_laws_and_the_same_output(self, tmp_path, monkeypatch, fmt, m):
+        values = [[5.0], [5.0], [1.0], [2.0], [-0.5]]
+        weights = [0.2, 0.1, 0.25, 0.25, 0.2]
+        write(tmp_path / "v.json", json.dumps({"measure": measure_doc(weights, prefix="p"),
+                                                "values": values}))
+        write(tmp_path / "heavy.json", json.dumps({"values": [[5.0]]}))
+        v = SampledMap(DiscreteMeasure(tuple(f"p{k}" for k in range(5)), weights), values)
+        expected = self.expected(v, m, HeavyAtoms(np.array([[5.0]])), fmt)
+        laws = []
+        for module in (cli, measures, polar, rearrangement):
+            def counted(*args, _law=measures.value_law):
+                laws.append(1)
+                return _law(*args)
+
+            monkeypatch.setattr(module, "value_law", counted)
+        out = tmp_path / f"out.{fmt}"
+        assert main(["rearrange", "--u", str(tmp_path / "v.json"), "--m", str(m),
+                     "--heavy", str(tmp_path / "heavy.json"), "--format", fmt,
+                     "--out", str(out)]) == 0
+        assert len(laws) == 2
+        assert out.read_text() == expected
+
+
 class TestMonotone:
     def test_sorting_instance(self, tmp_path):
         u_doc = {
@@ -340,14 +385,14 @@ class TestVerifySolvesOnce:
     calls; verify's two share one simplex computation."""
 
     @staticmethod
-    def run(out_dir):
+    def run(out_dir, fmt="json"):
         u, Y, fac = (str(out_dir / f) for f in ("u.json", "Y.json", "factorize.json"))
         codes = [
             main(["gallery", "--name", "flat-segment", "--grid", "8", "--seed", "3",
-                  "--out", str(out_dir)]),
+                  "--out", str(out_dir), "--format", fmt]),
             main(["factorize", "--u", u, "--Y", Y, "--out", fac]),
             main(["verify", "--u", u, "--Y", Y, "--plan", fac, "--psi", fac,
-                  "--out", str(out_dir / "verify.json")]),
+                  "--out", str(out_dir / "verify.json"), "--format", fmt]),
         ]
         assert codes == [0, 0, 0]
         return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
@@ -622,6 +667,30 @@ class TestFormats:
         txt_out = tmp_path / "plan.txt"
         main(["solve", "--u", u_path, "--Y", y_path, "--format", "text", "--out", str(txt_out)])
         assert "I = " in txt_out.read_text()
+
+    @pytest.fixture
+    def renderers(self, monkeypatch):
+        """Counts calls of the CSV and table renderers."""
+        calls = []
+        for name in ("plan_to_csv", "rows_to_csv", "rows_to_table"):
+            def counted(*args, _name=name, _render=getattr(io, name)):
+                calls.append(_name)
+                return _render(*args)
+
+            monkeypatch.setattr(io, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    def test_only_the_chosen_format_is_rendered(self, tmp_path, renderers, fmt):
+        # gallery and verify in fmt; factorize in JSON, which verify reads
+        TestVerifySolvesOnce.run(tmp_path, fmt)
+        u, Y = (str(tmp_path / f) for f in ("u.json", "Y.json"))
+        assert main(["factorize", "--u", u, "--Y", Y, "--format", fmt,
+                     "--out", str(tmp_path / "factorize.out")]) == 0
+        expected = {"json": [],
+                    "csv": ["rows_to_csv", "rows_to_csv", "plan_to_csv", "rows_to_csv"],
+                    "text": ["rows_to_table", "rows_to_table"]}
+        assert renderers == expected[fmt]
 
     def test_float_roundtrip_17_digits(self, tmp_path):
         w = 1.0 / 3.0

@@ -13,7 +13,7 @@ import pytest
 
 from polarfact.measures import DiscreteMeasure, SampledMap
 from polarfact.polar import GALLERY_NAMES, gallery_instance
-from polarfact.transport import _Simplex, build_cost
+from polarfact.transport import _northwest_cells, _Simplex, build_cost
 
 
 class RecordingSimplex(_Simplex):
@@ -35,9 +35,28 @@ class RecordingSimplex(_Simplex):
         return [self._cell(v) for v in zero if v >= m], len(zero)
 
 
+def staircase_zero_cells(staircase):
+    """For a staircase start, which gets no tree unless it pivots, the zero
+    cells that hang a column below a row, and the number of zero cells.
+    Each cell hangs the node that it does not share with its neighbour
+    toward the first cell in column 0 below the node that it does."""
+    rows, cols, masses = (a.tolist() for a in staircase)
+    first = cols.index(0)
+    hanging, zero = [], 0
+    for k, (i, j, t) in enumerate(zip(rows, cols, masses)):
+        if t == 0.0:
+            zero += 1
+            # the first cell in column 0 hangs its row below the root
+            if k != first and rows[k - 1 if k > first else k + 1] == i:
+                hanging.append((i, j))
+    return hanging, zero
+
+
 def solve_recorded(cost, order=None):
     sx = RecordingSimplex(cost.entries, cost.mu.weights, cost.nu.weights, cost.tol)
     sx.solve(order)
+    if sx.staircase is not None:  # no pivot: the start is the only tree
+        return [staircase_zero_cells(sx.staircase)]
     return sx.trees
 
 
@@ -129,3 +148,24 @@ class TestNorthWestStart:
         # where a tie advances the column rather than the row
         assert column_0_moved > 50
         assert pivots > 0 if reverse else pivots == 0
+
+    def test_staircase_zero_cells_match_its_tree(self):
+        # the direct reading of a staircase agrees with the tree built from
+        # it, also where ties are broken at the wrong place for column 0
+        hanging = zero = 0
+        for seed in range(100):
+            u, Y = instance_1d(seed)
+            cost = build_cost(u, Y)
+            rows, cols = cost.order
+            a, b = u.domain.weights[rows], Y.weights[cols]
+            for root in {0, cols.size - 1, int(np.flatnonzero(cols == 0)[0])}:
+                i, j, t = (np.array(x) for x in zip(*_northwest_cells(a, b, root)))
+                staircase = (rows[i], cols[j], t)
+                sx = RecordingSimplex(cost.entries, u.domain.weights, Y.weights, cost.tol)
+                sx._build_tree(list(zip(*(x.tolist() for x in staircase))))
+                direct = staircase_zero_cells(staircase)
+                assert sorted(direct[0]) == sorted(sx.trees[0][0])
+                assert direct[1] == sx.trees[0][1]
+                hanging += len(direct[0])
+                zero += direct[1]
+        assert 0 < hanging < zero

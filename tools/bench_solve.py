@@ -1,6 +1,6 @@
-"""Time the solve, value-law, CLI-pipeline or certificate layer of two source trees.
+"""Time the solve, value-law, CLI-pipeline, certificate or 1-D staircase layer of two source trees.
 
-    python3 tools/bench_solve.py [--suite pricing|value_law|solve_cache|certificates] OLD_SRC NEW_SRC [OUT]
+    python3 tools/bench_solve.py [--suite pricing|value_law|solve_cache|certificates|staircase] OLD_SRC NEW_SRC [OUT]
 
 Loads the ``polarfact`` package of each tree under its own module name and
 times, alternating old and new in this one process.  The ``pricing`` suite
@@ -40,6 +40,11 @@ then standard-normal sites.  Each pair must return byte-identical plans,
 duals and potentials (for the rearrangement: rearranged values and
 potential).  From one untimed call per tree, the tracemalloc peak and the
 traced memory the returned result still holds go with the medians.
+
+The ``staircase`` suite times the one-dimensional solves that start from
+the north-west corner of the sorted supports: the ``value_law`` suite's
+monotone-1d batches, then the ``certificates`` suite's calls, with the
+same checks.
 
 The medians, their ratio and the layer the change is meant to move go to
 OUT (default ``BENCH_<suite>.json``).  BLAS is held to one thread.
@@ -83,7 +88,8 @@ PIPELINE_REPEATS = 11
 CERTIFICATES_N = 2000
 CERTIFICATES_REPEATS = 11
 LAYERS = {"pricing": "pricing", "value_law": "measures.value_law",
-          "solve_cache": "transport.solve_mk", "certificates": "certificates"}
+          "solve_cache": "transport.solve_mk", "certificates": "certificates",
+          "staircase": "initial basis, dual strictification"}
 
 
 def load(src: str, alias: str):
@@ -335,6 +341,8 @@ def main(argv) -> int:
         results, module = value_law_suite(libs), "measures"
     elif args.suite == "certificates":
         results, module = certificates_suite(libs), "convex"
+    elif args.suite == "staircase":
+        results, module = {**value_law_suite(libs), **certificates_suite(libs)}, "transport"
     else:
         results, module = solve_cache_suite(libs), "transport"
     record = {
