@@ -7,6 +7,8 @@ c(v, y) = |v - y|^2 / 2 links the two conjugacies: a function phi on Y is
 c-concave exactly when psi(y) = |y|^2/2 - phi(y) is (the restriction of) a
 convex function, and the c-transform of phi is |v|^2/2 - psi*(v).
 
+Every conjugate and Fenchel gap, here and in ``transport``, is read from one
+score kernel, ``_scores``; a one-point call is a one-row batch of it.
 All reductions scan sites in index order, so results are bit-identical for
 identical inputs; ties resolve to the lowest site index.
 """
@@ -89,54 +91,39 @@ class DualPair:
         return float(mu_weights @ self.phi_c + nu_weights @ self.phi)
 
 
-def _check_query(query: np.ndarray, dim: int) -> np.ndarray:
-    q = np.asarray(query, dtype=float).reshape(-1)
-    if q.shape[0] != dim:
-        raise DimensionMismatchError(f"query has dimension {q.shape[0]}, support {dim}")
-    return q
-
-
-def conjugate_scores(psi: ConvexPotential, query) -> np.ndarray:
-    """Per-site scores query . y_j - psi_j whose max is the conjugate."""
-    q = _check_query(query, psi.dimension)
-    return psi.support.coords @ q - psi.psi_values
-
-
-def fenchel_conjugate(psi: ConvexPotential, query) -> float:
-    """psi*(query) = max_j (query . y_j - psi_j) over the support sites."""
-    return float(np.max(conjugate_scores(psi, query)))
-
-
-def conjugate_many(psi: ConvexPotential, queries: np.ndarray) -> np.ndarray:
-    """Vectorised conjugate for a (k, n) array of query points."""
+def _scores(psi: ConvexPotential, queries) -> np.ndarray:
+    """Scores q_k . y_j - psi_j of a (k, n) array of queries, one row each:
+    the one kernel every conjugate and Fenchel gap is read from."""
     q = np.asarray(queries, dtype=float)
     if q.ndim == 1:
         q = q.reshape(1, -1)
     if q.shape[1] != psi.dimension:
-        raise DimensionMismatchError(
-            f"queries have dimension {q.shape[1]}, support {psi.dimension}"
-        )
-    return np.max(q @ psi.support.coords.T - psi.psi_values[None, :], axis=1)
+        raise DimensionMismatchError(f"queries have dimension {q.shape[1]}, support {psi.dimension}")
+    return q @ psi.support.coords.T - psi.psi_values[None, :]
+
+
+def fenchel_conjugate(psi: ConvexPotential, query) -> float:
+    """psi*(query) = max_j (query . y_j - psi_j) over the support sites."""
+    return float(conjugate_many(psi, np.reshape(query, (1, -1)))[0])
+
+
+def conjugate_many(psi: ConvexPotential, queries: np.ndarray) -> np.ndarray:
+    """Vectorised conjugate for a (k, n) array of query points."""
+    return np.max(_scores(psi, queries), axis=1)
 
 
 def fenchel_gap(psi: ConvexPotential, u_value, y_index: int) -> float:
-    """psi*(u_value) + psi(y_j) - u_value . y_j at site index ``y_index``.
-
-    Computed as max(scores) - scores[y_index] over the shared score array,
-    so the result is >= 0 in exact float arithmetic.  A gap below tolerance
-    certifies that u_value lies in the discrete subdifferential at y_j.
-    """
-    scores = conjugate_scores(psi, u_value)
-    if not 0 <= y_index < scores.shape[0]:
-        raise IndexError(f"site index {y_index} out of range")
-    return float(np.max(scores) - scores[y_index])
+    """psi*(u_value) + psi(y_j) - u_value . y_j at site index ``y_index``; a
+    gap below tolerance puts u_value in the discrete subdifferential at y_j."""
+    return float(fenchel_gap_many(psi, np.reshape(u_value, (1, -1)), [y_index])[0])
 
 
 def fenchel_gap_many(psi: ConvexPotential, u_values: np.ndarray, y_indices: np.ndarray) -> np.ndarray:
-    """Vectorised gaps for paired (u_value, site) samples."""
-    q = np.asarray(u_values, dtype=float)
-    if q.ndim == 1:
-        q = q.reshape(1, -1)
-    scores = q @ psi.support.coords.T - psi.psi_values[None, :]
-    idx = np.asarray(y_indices, dtype=int)
-    return np.max(scores, axis=1) - scores[np.arange(q.shape[0]), idx]
+    """Vectorised gaps for paired (u_value, site) samples, each the max of
+    its row of scores minus its entry at the site: >= 0 in float arithmetic."""
+    scores = _scores(psi, u_values)
+    idx = np.asarray(y_indices, dtype=int).reshape(-1)
+    outside = (idx < 0) | (idx >= psi.support.size)
+    if np.any(outside):
+        raise IndexError(f"site index {int(idx[outside][0])} out of range")
+    return np.max(scores, axis=1) - scores[np.arange(scores.shape[0]), idx]

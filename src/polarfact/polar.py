@@ -41,6 +41,7 @@ from .transport import (
     _support_gaps,
     build_cost,
     duality_certificate,
+    inclusion_gap,
     objective,
     slackness_gap,
     solve_mk,
@@ -127,13 +128,7 @@ def polar_factorize(u: SampledMap, Y: DiscreteMeasure) -> PolarResult:
     plan, duals = solve_mk(cost, u.domain, Y)
     psi = ConvexPotential(Y, 0.5 * np.sum(Y.coords * Y.coords, axis=1) - duals.phi)
 
-    reduced = duals.reduced_costs()  # the R solve_mk checked feasibility on
-    row_min = reduced.min(axis=1)
-    max_gap = float(np.max(reduced[plan.rows, plan.cols] - row_min[plan.rows], initial=0.0))
-    if not max_gap <= cost.tol:
-        raise NumericalFailureError(
-            f"inclusion certificate failed at optimality: max gap {max_gap!r}"
-        )
+    max_gap, row_min = inclusion_gap(duals.reduced_costs(), plan.rows, plan.cols, cost.tol)
     # psi*(u_i) = |u_i|^2/2 - phi_c_i - min_k R_ik: row minima are the identity's residuals
     identity_err = float(np.max(np.abs(row_min)))
     if not identity_err <= cost.tol:

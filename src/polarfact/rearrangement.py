@@ -34,7 +34,7 @@ from .measures import (
     value_law,
 )
 from .tolerances import dominant, masses_close
-from .transport import build_cost, solve_mk
+from .transport import build_cost, inclusion_gap, solve_mk
 
 
 @dataclass(frozen=True)
@@ -282,11 +282,7 @@ def monotone_rearrangement(
     psi = ConvexPotential(target, psi_vals)
     u_sharp = SampledMap(target, values)
 
-    reduced = duals.reduced_costs()  # the R solve_mk checked feasibility on
-    row_min = reduced.min(axis=1)
-    max_gap = float(np.max(reduced[best_row, np.arange(target.size)] - row_min[best_row]))
-    if not max_gap <= duals.cost_ref.tol:
-        raise NumericalFailureError(f"subdifferential certificate failed: max gap {max_gap!r}")
+    inclusion_gap(duals.reduced_costs(), best_row, np.arange(target.size), duals.cost_ref.tol)
     # u_sharp takes atom best_row[j] at site j, so its law is the law of u
     # when every atom receives its own mass
     hit = np.bincount(best_row, weights=target.weights, minlength=law.n_atoms)

@@ -44,8 +44,9 @@ staircase) from the root, so complementary slackness holds to float
 precision on the support and the duality gap of the returned pair is zero
 up to accumulation error.  The tolerance is ``cost.tol``, computed once per
 ``CostMatrix``; the ``DualPair`` holds read-only duals and builds their
-reduced costs once, for the feasibility check and duality gap here and
-every certificate.
+reduced costs R once.  Both certificates read R: ``slackness_gap`` weighs it
+over the plan (the duality gap), and ``inclusion_gap`` takes each support
+cell's R above its row minimum (the Fenchel gap of the inclusion).
 
 Within a ``reusing_solves`` block, ``solve_mk`` keeps the last solution it
 certified, keyed by content: the shape and bytes of the cost entries, the
@@ -72,7 +73,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .convex import ConvexPotential, DualPair, fenchel_gap_many
+from .convex import ConvexPotential, DualPair, _scores
 from .errors import (
     DimensionMismatchError,
     MarginalMismatchError,
@@ -267,6 +268,18 @@ def slackness_gap(plan: TransportPlan, reduced: np.ndarray) -> float:
     I: equal for the plan's marginals, without the cancellation of the dual
     value's terms, which can be far larger than the costs the plan pays."""
     return float(np.dot(plan.masses, reduced[plan.rows, plan.cols]))
+
+
+def inclusion_gap(reduced: np.ndarray, rows, cols, tol: float):
+    """Largest reduced cost above its row minimum over the cells (rows, cols),
+    and the row minima.  R holds no |y|^2 term, so a cell's R above its row
+    minimum is its Fenchel gap psi*(u_i) + psi(y_j) - u_i . y_j for
+    psi = |y|^2/2 - phi; a gap above ``tol`` raises NumericalFailureError."""
+    row_min = reduced.min(axis=1)
+    gap = float(np.max(reduced[rows, cols] - row_min[rows], initial=0.0))
+    if not gap <= tol:
+        raise NumericalFailureError(f"inclusion certificate failed at optimality: max gap {gap!r}")
+    return gap, row_min
 
 
 # ---------------------------------------------------------------------------
@@ -860,23 +873,18 @@ def brute_force_mk(cost: CostMatrix, mu: DiscreteMeasure, nu: DiscreteMeasure) -
     return float(w[0] * totals.min())
 
 
-def _support_values(plan: TransportPlan, psi: ConvexPotential, u: SampledMap) -> np.ndarray:
-    """u(x_i) for each support triplet (i, j) of the plan, one row each."""
+def _support_gaps(plan: TransportPlan, psi: ConvexPotential, u: SampledMap):
+    """Fenchel gap of u(x_i) at y_j for each support triplet (i, j) of the
+    plan, read from ``_scores`` as ``fenchel_gap_many`` reads it, and the
+    magnitude it is judged against: the larger |u(x_i)| . |y_k| + |psi_k| of
+    its two scores, at k = j and at the maximiser."""
     if plan.mu.size != u.domain.size:
         raise MarginalMismatchError("plan source does not match the map's domain")
     if plan.nu.size != psi.support.size:
         raise MarginalMismatchError("plan target does not match the potential's support")
     plan._check_indices()  # a negative index would wrap to the last site
-    return u.values[plan.rows]
-
-
-def _support_gaps(plan: TransportPlan, psi: ConvexPotential, u: SampledMap):
-    """Fenchel gap of u(x_i) at y_j for each support triplet (i, j) of the
-    plan, as ``fenchel_gap_many`` takes it, and the magnitude it is judged
-    against: the larger |u(x_i)| . |y_k| + |psi_k| of its two scores, at
-    k = j and at the maximiser."""
-    values = _support_values(plan, psi, u)
-    scores = values @ psi.support.coords.T - psi.psi_values[None, :]
+    values = u.values[plan.rows]
+    scores = _scores(psi, values)
     t, best = np.arange(values.shape[0]), np.argmax(scores, axis=1)
     magnitude = [np.einsum("td,td->t", np.abs(values), np.abs(psi.support.coords[k]))
                  + np.abs(psi.psi_values[k]) for k in (plan.cols, best)]
@@ -885,8 +893,7 @@ def _support_gaps(plan: TransportPlan, psi: ConvexPotential, u: SampledMap):
 
 def shifted_objective(plan: TransportPlan, psi: ConvexPotential, u: SampledMap) -> float:
     """Plan-weighted sum of Fenchel gaps; equals I plus a marginal-only shift."""
-    gaps = fenchel_gap_many(psi, _support_values(plan, psi, u), plan.cols)
-    return float(np.dot(plan.masses, gaps))
+    return float(np.dot(plan.masses, _support_gaps(plan, psi, u)[0]))
 
 
 def _northwest_cells(a: np.ndarray, b: np.ndarray, root: int):

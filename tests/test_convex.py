@@ -6,6 +6,7 @@ from polarfact.convex import (
     conjugate_many,
     fenchel_conjugate,
     fenchel_gap,
+    fenchel_gap_many,
 )
 from polarfact.errors import DimensionMismatchError
 from polarfact.measures import DiscreteMeasure
@@ -66,7 +67,10 @@ class TestFenchelConjugate:
         queries = rng.normal(size=(20, 2))
         batch = conjugate_many(psi, queries)
         for q, v in zip(queries, batch):
-            # batch path reduces dot products in a different order
+            # one kernel: the scalar form is a one-row batch, to the bit
+            assert fenchel_conjugate(psi, q) == conjugate_many(psi, [q])[0]
+            # numpy hands a one-row product to BLAS gemv and a longer one to
+            # gemm, whose kernels may round a dot product differently
             assert v == pytest.approx(fenchel_conjugate(psi, q), rel=1e-12, abs=1e-12)
 
 
@@ -98,6 +102,26 @@ class TestFenchelGap:
             v = rng.normal(size=3)
             j = int(rng.integers(0, n))
             assert fenchel_gap(psi, v, j) >= -1e-12
+
+    def test_scalar_is_a_one_row_batch(self):
+        rng = np.random.default_rng(3)
+        for d in (1, 2, 3):
+            Y = sites(rng.normal(size=(9, d)))
+            psi = ConvexPotential(Y, rng.normal(size=9))
+            for v in rng.normal(size=(20, d)):
+                j = int(rng.integers(0, 9))
+                assert fenchel_gap(psi, v, j) == fenchel_gap_many(psi, [v], [j])[0]
+
+    @pytest.mark.parametrize("j", [-1, -2, 2, 7])
+    def test_site_index_out_of_range(self, j):
+        # a negative index must not wrap to the last sites
+        psi = quadratic_potential([0.0, 1.0])
+        with pytest.raises(IndexError):
+            fenchel_gap(psi, [1.0], j)
+        with pytest.raises(IndexError):
+            fenchel_gap_many(psi, [[1.0]], [j])
+        with pytest.raises(IndexError):
+            fenchel_gap_many(psi, [[0.0], [1.0]], [0, j])
 
     def test_constant_shift(self):
         rng = np.random.default_rng(8)

@@ -1,10 +1,11 @@
 """The paper's observables on the gallery, pinned across grid sizes.
 
-For each family, N in {4, 6, 8, 12, 16} and seeds 0-2, ``polar_factorize``
+For each family, N in {4, 6, 8, 12, 16, 24} and seeds 0-2, ``polar_factorize``
 and ``degeneracy_report`` must give the recorded classification,
 degeneracy index and split index exactly, and the optimal cost I to
 ``SOLVER_RTOL`` relative.  A solver change that takes another pivot path
-may move a plan with several optima; it may not move these.
+may move a plan with several optima; it may not move these.  N=24 is
+``slow``: its nine instances take about 4 s.
 
 flat-segment and m-to-1-flat push the same law onto the same grid, so
 their optimum is the cost of the gradient map's own assignment,
@@ -26,11 +27,11 @@ from polarfact.polar import (
 from polarfact.tolerances import SOLVER_RTOL
 from polarfact.transport import build_cost, objective
 
-GRIDS = (4, 6, 8, 12, 16)
+GRIDS = (4, 6, 8, 12, 16, pytest.param(24, marks=pytest.mark.slow))
 SEEDS = range(3)
 
 FLAT_I = {4: Fraction(4, 9), 6: Fraction(8, 15), 8: Fraction(4, 7), 12: Fraction(20, 33),
-          16: Fraction(28, 45)}
+          16: Fraction(28, 45), 24: Fraction(44, 69)}
 
 # (N, seed) -> I of injective-control, whose plan is unique
 INJECTIVE_I = {
@@ -39,6 +40,7 @@ INJECTIVE_I = {
     (8, 0): 0.17261445691366747, (8, 1): 0.3557499661216532, (8, 2): 0.08139984978301618,
     (12, 0): 0.153607513520454, (12, 1): 0.319640920373943, (12, 2): 0.07120098518378147,
     (16, 0): 0.14491592256446986, (16, 1): 0.3030449164000458, (16, 2): 0.06657205388237333,
+    (24, 0): 0.13672575629820877, (24, 1): 0.2873460776194914, (24, 2): 0.06223541891131649,
 }
 
 

@@ -129,3 +129,45 @@ def test_no_module_level_state():
                 and t.id != "__all__" and (name, t.id) not in STATE_WAITING
             ]
     assert found == []
+
+
+def _owned_nodes(tree):
+    """(name of the innermost enclosing function or None, node) for every node."""
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner
+            yield inner, child
+            yield from visit(child, inner)
+    yield from visit(tree, None)
+
+
+def _kernel(node):
+    """Which certificate kernel a node computes, if any: a product against
+    site coordinates (the score u . y - psi) or a row minimum (the support
+    gap of the reduced costs)."""
+    if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+            and any(isinstance(n, ast.Attribute) and n.attr == "coords" for n in ast.walk(node))):
+        return "score"
+    if (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "min" and not node.args
+            and any(k.arg == "axis" and getattr(k.value, "value", None) == 1 for k in node.keywords)):
+        return "row minimum"
+    return None
+
+
+def test_each_inclusion_certificate_has_one_kernel():
+    # a second copy of a certificate formula is a second place a rule for
+    # it has to land: scores live in convex._scores, row minima of the
+    # reduced costs in transport.inclusion_gap
+    homes = {"score": ("convex.py", "_scores"), "row minimum": ("transport.py", "inclusion_gap")}
+    seen, found = set(), []
+    for name, tree in _package_trees(skip=None):
+        for owner, node in _owned_nodes(tree):
+            kernel = _kernel(node)
+            if kernel is None:
+                continue
+            if homes[kernel] == (name, owner):
+                seen.add(kernel)
+            else:
+                found.append(f"{name}:{node.lineno}: {kernel} in {owner}")
+    assert found == []
+    assert seen == set(homes)

@@ -2,23 +2,28 @@
 
 The certificates read the duals' reduced costs, which hold no |y|^2 term,
 so an offset leaves them exact, and they are judged by ``solver_tol``,
-relative to max|C|, so x1e-4 and x1e6 certify like x1.  One case still
-fails and is a strict xfail, so it fails the run as soon as it passes and
-the mark must then be removed: coordinates near 1e153 cancel the dual
-value to 0.
+relative to max|C|, so x1e-4 and x1e6 certify like x1.  Two cases still
+fail and are strict xfails, so each fails the run as soon as it passes and
+its mark must then be removed: coordinates near 1e153 cancel the dual
+value to 0, and one far site sets the tolerance ``factorize`` judges the
+near sites' Fenchel gaps by.
 
 The paper's observables, the degeneracy and split indices, are checked the
 same way on the injective-control gallery instance, from x1e-6 to x1e3:
 their zero test, ``solver_tol``, is relative to max|C|.
 """
 
+import json
+
 import numpy as np
 import pytest
 
+from polarfact.cli import main
 from polarfact.errors import NumericalFailureError
 from polarfact.measures import DiscreteMeasure, SampledMap
 from polarfact.polar import degeneracy_report, gallery_instance, polar_factorize
 from polarfact.transport import build_cost, solve_mk
+from test_cli import measure_doc, write
 
 # (coordinate scale, coordinate offset)
 PASSING = {
@@ -55,7 +60,7 @@ def test_certified_at_scale(name, seed):
 @pytest.mark.xfail(
     strict=True,
     raises=NumericalFailureError,
-    reason="ROADMAP item 4: duals near 1e306 cancel the dual value to 0",
+    reason="ROADMAP item 3: duals near 1e306 cancel the dual value to 0",
 )
 def test_extreme_finite_1d_instance_certified():
     """Optimum 1/6, but duals near 1e306 cancel the dual value to 0."""
@@ -69,6 +74,30 @@ def test_extreme_finite_1d_instance_certified():
 # the injective-control grid's reduced costs scale by s^2, and so does
 # solver_tol, the zero test of the degeneracy report
 INDEX_SCALES = (1e-6, 1e-5, 1e-4, 1e-3, 1e3)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 3: factorize judges every row's gap by cost.tol, which the far site sets",
+)
+def test_factorize_output_verifies_at_mixed_scales(tmp_path, capsys):
+    """u permutes six standard-normal sites and (1e6, 0), so I = 0.  The far
+    site makes cost.tol about 5, and factorize certifies Fenchel gaps of
+    0.54 that its near rows cannot carry: verify, which judges each gap
+    against its own scores, rejects the psi factorize wrote (exit 4).
+    ``transport.inclusion_gap`` is where a per-row rule lands."""
+    rng = np.random.default_rng(0)
+    sites = np.vstack([rng.standard_normal((6, 2)), [[1e6, 0.0]]])
+    values = sites[rng.permutation(7)]
+    u_path, y_path, out = (str(tmp_path / f) for f in ("u.json", "Y.json", "factorize.json"))
+    write(y_path, json.dumps(measure_doc([1 / 7] * 7, sites.tolist())))
+    write(u_path, json.dumps({"measure": measure_doc([1 / 7] * 7, prefix="x"),
+                              "values": values.tolist()}))
+    assert main(["factorize", "--u", u_path, "--Y", y_path, "--out", out]) == 0
+    assert json.loads(open(out).read())["certificate"]["I"] == 0.0
+    code = main(["verify", "--u", u_path, "--Y", y_path, "--plan", out, "--psi", out])
+    assert code == 0, capsys.readouterr().err
 
 
 def gallery_indices(seed, scale):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from polarfact import transport
-from polarfact.convex import ConvexPotential, DualPair
+from polarfact.convex import ConvexPotential, DualPair, fenchel_gap_many
 from polarfact.errors import (
     DimensionMismatchError,
     MarginalMismatchError,
@@ -851,6 +851,17 @@ class TestShiftedObjective:
         psi = ConvexPotential(Y, rng.normal(size=4))
         for seed in range(50):
             assert shifted_objective(random_plan(u.domain, Y, seed), psi, u) >= -1e-9
+
+    def test_is_the_plan_weighted_sum_of_fenchel_gaps(self):
+        # one score kernel: the same gaps, summed in the same order, to the bit
+        rng = np.random.default_rng(24)
+        for d in (1, 2):
+            u, Y = random_instance(rng, 7, 5, dim=d)
+            psi = ConvexPotential(Y, rng.normal(size=5))
+            for seed in range(20):
+                plan = random_plan(u.domain, Y, seed)
+                gaps = fenchel_gap_many(psi, u.values[plan.rows], plan.cols)
+                assert shifted_objective(plan, psi, u) == float(np.dot(plan.masses, gaps))
 
 
 class TestRandomPlan:
