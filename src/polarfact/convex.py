@@ -47,38 +47,49 @@ class ConvexPotential:
         return self.support.coords.shape[1]
 
 
+def _reduced_costs(entries: np.ndarray, phi_c: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """(c - phi_c) - phi in the simplex's pricing order: a new m x n array."""
+    r = entries - phi_c[:, None]
+    r -= phi
+    return r
+
+
 @dataclass(frozen=True)
 class DualPair:
     """A conjugate c-concave pair: phi_c sampled on X, phi sampled on Y.
 
     ``cost_ref`` is the cost matrix the pair is conjugate for (any object
-    with an ``entries`` array of shape (|X|, |Y|)).  phi_c and phi are
-    read-only copies, so the reduced costs, built once, stay theirs.
+    with an ``entries`` array of shape (|X|, |Y|)).  phi_c, phi and the row
+    minima ``row_min`` of R = (c - phi_c) - phi are read-only; R is not kept.
     """
 
     phi_c: np.ndarray
     phi: np.ndarray
-    cost_ref: object = None
-    _reduced: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    cost_ref: object
+    row_min: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("phi_c", "phi"):
             v = np.array(getattr(self, name), dtype=float).reshape(-1)
             v.flags.writeable = False
             object.__setattr__(self, name, v)
+        if (self.phi_c.size, self.phi.size) != self.cost_ref.entries.shape:
+            raise DimensionMismatchError(f"potentials of sizes ({self.phi_c.size}, "
+                                         f"{self.phi.size}) for cost {self.cost_ref.entries.shape}")
+        object.__setattr__(self, "row_min", self.reduced_costs().min(axis=1))
+        self.row_min.flags.writeable = False
 
     def reduced_costs(self) -> np.ndarray:
-        """(c - phi_c) - phi in the simplex's pricing order; built once, read-only."""
-        if self._reduced is None:
-            r = self.cost_ref.entries - self.phi_c[:, None]
-            r -= self.phi
-            r.flags.writeable = False
-            object.__setattr__(self, "_reduced", r)
-        return self._reduced
+        """R = (c - phi_c) - phi, built anew on each call."""
+        return _reduced_costs(self.cost_ref.entries, self.phi_c, self.phi)
+
+    def reduced_at(self, rows, cols) -> np.ndarray:
+        """R at the cells (rows, cols), bit-equal to those entries of ``reduced_costs()``."""
+        return (self.cost_ref.entries[rows, cols] - self.phi_c[rows]) - self.phi[cols]
 
     def max_feasibility_violation(self) -> float:
         """max over (i, j) of phi_c[i] + phi[j] - c[i, j]; <= 0 means feasible."""
-        return float(-np.min(self.reduced_costs()))
+        return float(-np.min(self.row_min))
 
     def c_concavity_gap(self) -> float:
         """Sup-norm distance between phi and its double c-transform."""

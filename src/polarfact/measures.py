@@ -73,12 +73,9 @@ class DiscreteMeasure:
 
     def index_of(self, label: str) -> int:
         try:
-            return self._label_index[label]
-        except AttributeError:
-            object.__setattr__(
-                self, "_label_index", {l: i for i, l in enumerate(self.labels)}
-            )
-            return self._label_index[label]
+            return self.labels.index(label)
+        except ValueError:
+            raise KeyError(label) from None
 
     @classmethod
     def uniform(cls, n_points: int, total: float = 1.0, coords=None, prefix: str = "p"):

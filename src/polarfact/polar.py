@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convex import ConvexPotential, DualPair
+from .convex import ConvexPotential, DualPair, _reduced_costs
 from .errors import (
     CertificateMissingError,
     InclusionNotCertifiedError,
@@ -64,11 +64,12 @@ def plan_from_map(
     """
     rows = np.arange(mu.size)
     cols = np.empty(mu.size, dtype=int)
+    index = {label: j for j, label in enumerate(nu.labels)}
     for i, label in enumerate(mu.labels):
         if label not in s:
             raise UnknownLabelError(f"map is not total: {label!r} missing")
         try:
-            cols[i] = nu.index_of(s[label])
+            cols[i] = index[s[label]]
         except KeyError:
             raise UnknownLabelError(f"target label {s[label]!r} not in target measure") from None
     plan = TransportPlan(rows, cols, mu.weights.copy(), mu, nu)
@@ -128,9 +129,9 @@ def polar_factorize(u: SampledMap, Y: DiscreteMeasure) -> PolarResult:
     plan, duals = solve_mk(cost, u.domain, Y)
     psi = ConvexPotential(Y, 0.5 * np.sum(Y.coords * Y.coords, axis=1) - duals.phi)
 
-    max_gap, row_min = inclusion_gap(duals.reduced_costs(), plan.rows, plan.cols, cost.tol)
+    max_gap = inclusion_gap(duals, plan.rows, plan.cols)
     # psi*(u_i) = |u_i|^2/2 - phi_c_i - min_k R_ik: row minima are the identity's residuals
-    identity_err = float(np.max(np.abs(row_min)))
+    identity_err = float(np.max(np.abs(duals.row_min)))
     if not identity_err <= cost.tol:
         raise NumericalFailureError(
             f"conjugate identity violated by {identity_err!r} at some source point"
@@ -221,8 +222,8 @@ def degeneracy_report(plan: TransportPlan, duals: DualPair, cost: CostMatrix) ->
     zero-duality-gap certificate of the pair, as ``solve_mk`` takes it,
     since reduced costs are only meaningful against optimal duals.
     """
-    reduced = DualPair(duals.phi_c, duals.phi, cost).reduced_costs()
-    gap = slackness_gap(plan, reduced)
+    reduced = _reduced_costs(cost.entries, duals.phi_c, duals.phi)
+    gap = slackness_gap(plan, reduced[plan.rows, plan.cols])
     if not gap_vanishes(gap, objective(plan, cost)):
         raise CertificateMissingError(f"duality gap {gap!r} is not certified zero")
     zero_counts = np.sum(np.abs(reduced) <= cost.tol, axis=1).astype(int)

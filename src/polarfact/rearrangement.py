@@ -282,7 +282,7 @@ def monotone_rearrangement(
     psi = ConvexPotential(target, psi_vals)
     u_sharp = SampledMap(target, values)
 
-    inclusion_gap(duals.reduced_costs(), best_row, np.arange(target.size), duals.cost_ref.tol)
+    inclusion_gap(duals, best_row, np.arange(target.size))
     # u_sharp takes atom best_row[j] at site j, so its law is the law of u
     # when every atom receives its own mass
     hit = np.bincount(best_row, weights=target.weights, minlength=law.n_atoms)

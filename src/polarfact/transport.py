@@ -43,10 +43,10 @@ exactly from the final basis, by the subtractions along its tree (or
 staircase) from the root, so complementary slackness holds to float
 precision on the support and the duality gap of the returned pair is zero
 up to accumulation error.  The tolerance is ``cost.tol``, computed once per
-``CostMatrix``; the ``DualPair`` holds read-only duals and builds their
-reduced costs R once.  Both certificates read R: ``slackness_gap`` weighs it
-over the plan (the duality gap), and ``inclusion_gap`` takes each support
-cell's R above its row minimum (the Fenchel gap of the inclusion).
+``CostMatrix``; the ``DualPair`` keeps read-only duals and the row minima
+of their reduced costs R, not R.  Certificates read R only there and at
+the support: ``slackness_gap`` weighs it over the plan (the duality gap),
+``inclusion_gap`` takes it above its row minimum (a Fenchel gap).
 
 Within a ``reusing_solves`` block, ``solve_mk`` keeps the last solution it
 certified, keyed by content: the shape and bytes of the cost entries, the
@@ -263,23 +263,22 @@ def duality_certificate(plan: TransportPlan, duals: DualPair, cost: CostMatrix) 
     return {"I": primal, "dual_value": dual, "gap": primal - dual}
 
 
-def slackness_gap(plan: TransportPlan, reduced: np.ndarray) -> float:
-    """I - D as the plan-weighted reduced costs of the support, judged against
-    I: equal for the plan's marginals, without the cancellation of the dual
-    value's terms, which can be far larger than the costs the plan pays."""
-    return float(np.dot(plan.masses, reduced[plan.rows, plan.cols]))
+def slackness_gap(plan: TransportPlan, support_reduced: np.ndarray) -> float:
+    """I - D as the plan-weighted reduced costs of the support (triplet order),
+    judged against I: equal for the plan's marginals, without the cancellation
+    of the dual value's terms, which can be far larger than the plan's costs."""
+    return float(np.dot(plan.masses, support_reduced))
 
 
-def inclusion_gap(reduced: np.ndarray, rows, cols, tol: float):
-    """Largest reduced cost above its row minimum over the cells (rows, cols),
-    and the row minima.  R holds no |y|^2 term, so a cell's R above its row
-    minimum is its Fenchel gap psi*(u_i) + psi(y_j) - u_i . y_j for
-    psi = |y|^2/2 - phi; a gap above ``tol`` raises NumericalFailureError."""
-    row_min = reduced.min(axis=1)
-    gap = float(np.max(reduced[rows, cols] - row_min[rows], initial=0.0))
-    if not gap <= tol:
+def inclusion_gap(duals: DualPair, rows, cols) -> float:
+    """Largest reduced cost above its row minimum over the cells (rows, cols).
+    R holds no |y|^2 term, so a cell's R above its row minimum is its
+    Fenchel gap psi*(u_i) + psi(y_j) - u_i . y_j for psi = |y|^2/2 - phi;
+    a gap above the pair's ``cost_ref.tol`` raises NumericalFailureError."""
+    gap = float(np.max(duals.reduced_at(rows, cols) - duals.row_min[rows], initial=0.0))
+    if not gap <= duals.cost_ref.tol:
         raise NumericalFailureError(f"inclusion certificate failed at optimality: max gap {gap!r}")
-    return gap, row_min
+    return gap
 
 
 # ---------------------------------------------------------------------------
@@ -840,7 +839,7 @@ def solve_mk(cost: CostMatrix, mu: DiscreteMeasure, nu: DiscreteMeasure):
     plan = TransportPlan(*(a.copy() for a in solution[:3]), mu, nu)
     duals = DualPair(*solution[3:], cost)
     cert = duality_certificate(plan, duals, cost)
-    gap = slackness_gap(plan, duals.reduced_costs())
+    gap = slackness_gap(plan, duals.reduced_at(plan.rows, plan.cols))
     if not gap_vanishes(gap, cert["I"]):
         raise NumericalFailureError(f"duality gap {gap!r} exceeds tolerance")
     # a zero gap proves optimality only for feasible duals

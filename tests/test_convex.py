@@ -3,13 +3,15 @@ import pytest
 
 from polarfact.convex import (
     ConvexPotential,
+    DualPair,
     conjugate_many,
     fenchel_conjugate,
     fenchel_gap,
     fenchel_gap_many,
 )
 from polarfact.errors import DimensionMismatchError
-from polarfact.measures import DiscreteMeasure
+from polarfact.measures import DiscreteMeasure, SampledMap
+from polarfact.transport import build_cost, solve_mk
 
 
 def sites(coords, prefix="y"):
@@ -138,3 +140,25 @@ class TestFenchelGap:
             assert fenchel_gap(shifted, v, j) == pytest.approx(
                 fenchel_gap(psi, v, j), abs=1e-12
             )
+
+
+class TestDualPair:
+    @staticmethod
+    def solved_3x3():
+        Y = sites([0.0, 1.0, 3.0])
+        u = SampledMap(DiscreteMeasure.uniform(3), [[2.0], [0.5], [-1.0]])
+        cost = build_cost(u, Y)
+        return solve_mk(cost, u.domain, Y)[1], cost
+
+    @pytest.mark.parametrize("short", ["phi_c", "phi"])
+    def test_potential_of_the_wrong_length_rejected(self, short):
+        # numpy would broadcast a length-1 potential across the cost
+        duals, cost = self.solved_3x3()
+        sides = {"phi_c": duals.phi_c, "phi": duals.phi, short: np.zeros(1)}
+        with pytest.raises(DimensionMismatchError):
+            DualPair(sides["phi_c"], sides["phi"], cost)
+
+    def test_cost_is_required(self):
+        duals, _ = self.solved_3x3()
+        with pytest.raises(TypeError):
+            DualPair(duals.phi_c, duals.phi)

@@ -60,6 +60,23 @@ class TestValidate:
             validate(DiscreteMeasure((), []))
 
 
+class TestIndexOf:
+    def test_position_of_each_label(self):
+        m = abstract([0.25, 0.25, 0.5])
+        assert [m.index_of(label) for label in m.labels] == [0, 1, 2]
+
+    def test_unknown_label_raises_key_error(self):
+        m = abstract([0.5, 0.5])
+        with pytest.raises(KeyError):
+            m.index_of("y0")
+
+    def test_sets_no_attribute_on_the_measure(self):
+        m = abstract([0.5, 0.5])
+        before = dict(vars(m))
+        m.index_of("x1")
+        assert vars(m).keys() == before.keys()
+
+
 class TestValueLaw:
     @pytest.mark.parametrize("cluster_tol", [float("nan"), float("inf"), -1e-3])
     def test_non_finite_or_negative_cluster_tol_rejected(self, cluster_tol):

@@ -157,8 +157,8 @@ def _kernel(node):
 def test_each_inclusion_certificate_has_one_kernel():
     # a second copy of a certificate formula is a second place a rule for
     # it has to land: scores live in convex._scores, row minima of the
-    # reduced costs in transport.inclusion_gap
-    homes = {"score": ("convex.py", "_scores"), "row minimum": ("transport.py", "inclusion_gap")}
+    # reduced costs in DualPair.__post_init__, which keeps them as row_min
+    homes = {"score": ("convex.py", "_scores"), "row minimum": ("convex.py", "__post_init__")}
     seen, found = set(), []
     for name, tree in _package_trees(skip=None):
         for owner, node in _owned_nodes(tree):
@@ -171,3 +171,18 @@ def test_each_inclusion_certificate_has_one_kernel():
                 found.append(f"{name}:{node.lineno}: {kernel} in {owner}")
     assert found == []
     assert seen == set(homes)
+
+
+def test_frozen_objects_are_set_only_while_constructed():
+    # a frozen dataclass gets its derived fields in __post_init__; an
+    # attribute set later, a lazy cache, is state a result carries that
+    # its constructor never checked or accounted for
+    found = [
+        f"{name}:{node.lineno}: in {owner}"
+        for name, tree in _package_trees(skip=None)
+        for owner, node in _owned_nodes(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "__setattr__" and getattr(node.func.value, "id", None) == "object"
+        and owner != "__post_init__"
+    ]
+    assert found == []

@@ -94,6 +94,13 @@ class TestPlanFromMap:
         with pytest.raises(UnknownLabelError, match="'x1' missing"):
             plan_from_map({"x0": "y0"}, m, Y, check=False)
 
+    def test_sets_no_attribute_on_the_target_measure(self):
+        m = uniform(2)
+        Y = uniform(2, coords=[[0.0], [1.0]], prefix="y")
+        before = dict(vars(Y))
+        plan = plan_from_map({"x0": "y1", "x1": "y0"}, m, Y)
+        assert plan.cols.tolist() == [1, 0] and vars(Y).keys() == before.keys()
+
     def test_unknown_target_rejected(self):
         m = uniform(2)
         Y = uniform(2, coords=[[0.0], [1.0]], prefix="y")

@@ -1,10 +1,10 @@
 """The reduced-cost kernel and the simplex's pricing buffer are one matrix.
 
 ``solve_mk`` hands ``_Simplex._reduced`` to strictification as the reduced
-costs of the final duals, and every certificate of solver output reads
-``DualPair.reduced_costs()``.  Both are (C - alpha) - beta with the same two
-subtractions in the same order, so on the simplex's own duals they agree
-byte for byte (ROADMAP item 1's invariant to keep).
+costs of the final duals, and ``DualPair.reduced_costs()`` builds them for a
+dual pair.  Both are (C - alpha) - beta with the same two subtractions in
+the same order, so on the simplex's own duals they agree byte for byte
+(ROADMAP item 1's invariant to keep).
 
 The buffer holds the reduced costs of the current duals after every
 pricing pass, not only at return: a partial pass recomputes only the rows
@@ -13,16 +13,20 @@ byte-equal to a fresh full pass.
 
 Each derived quantity has one owner: a ``CostMatrix`` computes its
 ``solver_tol`` once, as ``cost.tol``, and a ``DualPair`` builds its reduced
-costs once and hands the same read-only array to every certificate.
+costs R once, at construction, for their row minima ``row_min``, and keeps
+no R.  Every certificate of solver output reads ``row_min`` and R at the
+support cells, ``reduced_at``, both bit-equal to what a full R gives, so a
+``PolarResult`` holds one m x n array, its cost's entries.
 """
 
+import gc
 import sys
 from functools import partial
 
 import numpy as np
 import pytest
 
-from polarfact import tolerances
+from polarfact import convex, tolerances
 from polarfact.cli import main
 from polarfact.convex import DualPair
 from polarfact.measures import DiscreteMeasure, SampledMap
@@ -106,26 +110,23 @@ def test_dual_recompute_forces_a_full_pass():
 
 @pytest.fixture
 def derivations(monkeypatch):
-    """Counts calls of ``solver_tol``, under every name a polarfact module
-    binds it to, and distinct arrays returned by ``reduced_costs``."""
-    counts = {"tol": 0, "reduced": []}
-    solver_tol, reduced_costs = tolerances.solver_tol, DualPair.reduced_costs
+    """Counts calls of ``solver_tol`` and of the m x n reduced-cost kernel
+    ``convex._reduced_costs``, under every name a polarfact module binds
+    them to."""
+    counts = {"solver_tol": 0, "_reduced_costs": 0}
+    kernels = {"solver_tol": tolerances.solver_tol, "_reduced_costs": convex._reduced_costs}
 
-    def counted_tol(C):
-        counts["tol"] += 1
-        return solver_tol(C)
+    def counted(name):
+        def call(*args):
+            counts[name] += 1
+            return kernels[name](*args)
+        return call
 
-    def counted_reduced(self):
-        r = reduced_costs(self)
-        if not any(r is seen for seen in counts["reduced"]):
-            counts["reduced"].append(r)
-        return r
-
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "polarfact" and hasattr(module, "solver_tol"):
-            monkeypatch.setattr(module, "solver_tol", counted_tol)
-    monkeypatch.setattr(DualPair, "reduced_costs", counted_reduced)
-    return lambda: (counts["tol"], len(counts["reduced"]))
+    for mod_name, module in list(sys.modules.items()):
+        for name in kernels:
+            if mod_name.split(".")[0] == "polarfact" and hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name))
+    return lambda: (counts["solver_tol"], counts["_reduced_costs"])
 
 
 def test_factorize_scans_its_cost_once_and_builds_r_once(derivations):
@@ -141,8 +142,8 @@ def test_strict_monotone_scans_its_cost_once_and_builds_r_once(derivations):
 
 
 def test_gallery_scans_each_cost_once_and_builds_r_per_dual_pair(derivations, tmp_path):
-    # cmd_gallery builds a second cost for degeneracy_report, which takes
-    # its reduced costs on that cost
+    # cmd_gallery builds a second cost for degeneracy_report, which builds
+    # its reduced costs once on that cost
     assert main(["gallery", "--name", "flat-segment", "--grid", "4",
                  "--out", str(tmp_path)]) == 0
     assert derivations() == (2, 2)
@@ -154,16 +155,58 @@ def test_cost_tolerance_is_solver_tol_of_its_entries():
     assert cost.tol == tolerances.solver_tol(cost.entries)
 
 
-def test_dual_arrays_and_reduced_costs_are_read_only_copies():
+def test_dual_arrays_and_row_minima_are_read_only_copies():
     u, Y = random_2d(1, 6, 8, True)
     cost = build_cost(u, Y)
     _, duals = solve_mk(cost, u.domain, Y)
     reduced = duals.reduced_costs()
-    assert duals.reduced_costs() is reduced
-    for a in (duals.phi_c, duals.phi, reduced):
+    for a in (duals.phi_c, duals.phi, duals.row_min):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 1.0
     alpha = duals.phi_c.copy()
     pair = DualPair(alpha, duals.phi, cost)
     alpha[0] += 1.0  # the pair holds its own copy
     assert pair.reduced_costs().tobytes() == reduced.tobytes()
+    assert pair.row_min.tobytes() == duals.row_min.tobytes()
+    assert duals.reduced_costs() is not reduced  # built anew, not kept
+
+
+@pytest.mark.parametrize("key", list(INSTANCES))
+def test_row_minima_and_support_reader_match_the_full_matrix(key):
+    u, Y = INSTANCES[key]()
+    cost = build_cost(u, Y)
+    plan, duals = solve_mk(cost, u.domain, Y)
+    reduced = duals.reduced_costs()
+    assert duals.row_min.tobytes() == reduced.min(axis=1).tobytes()
+    rows, cols = (a.reshape(-1) for a in np.indices(cost.shape))
+    assert duals.reduced_at(rows, cols).tobytes() == reduced[rows, cols].tobytes()
+    assert duals.reduced_at(plan.rows, plan.cols).tobytes() == reduced[plan.rows, plan.cols].tobytes()
+
+
+def _large_arrays(root, size):
+    """Every distinct ndarray of at least ``size`` elements reachable from
+    ``root`` through ``gc.get_referents`` and array bases, not entering
+    modules, classes or functions (which reach the whole interpreter)."""
+    seen, found, stack = set(), [], [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, type(sys), type(gc.collect))):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            if obj.size >= size:
+                found.append(obj)
+            if obj.base is not None:
+                stack.append(obj.base)
+        stack.extend(gc.get_referents(obj))
+    return found
+
+
+def test_polar_result_holds_one_m_by_n_array_its_cost_entries():
+    rng = np.random.default_rng(0)
+    n = 300
+    u = SampledMap(_measure("x", np.full(n, 1.0 / n)), rng.normal(size=(n, 1)))
+    Y = _measure("y", np.full(n, 1.0 / n), rng.normal(size=(n, 1)))
+    result = polar_factorize(u, Y)
+    held = _large_arrays(result, n * n)
+    assert len(held) == 1 and held[0] is result.duals.cost_ref.entries
